@@ -29,7 +29,9 @@ class Node:
     """One vertex of the computation graph.
 
     `value` and `grad` always share a shape. Leaf nodes ("param", "const")
-    have no parents and no backward rule.
+    have no parents and no backward rule. The backward rule receives the
+    node's gradient as its argument and holds no reference to the node, so a
+    graph is freed by reference counting as soon as its root is dropped.
     """
 
     __slots__ = ("op", "value", "grad", "parents", "_backward")
@@ -39,14 +41,11 @@ class Node:
         self.value = value
         self.grad = np.zeros_like(value)
         self.parents = parents
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self):
         return self.value.shape
-
-    def __repr__(self):
-        return f"Node(op={self.op!r}, shape={self.value.shape})"
 
 
 def constant(values) -> Node:
@@ -68,8 +67,7 @@ def matmul(a: Node, b: Node) -> Node:
         raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
     out = Node("matmul", av @ bv, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if bv.ndim == 2:
             a.grad += g @ bv.T
         else:
@@ -89,8 +87,8 @@ def sigmoid(x: Node) -> Node:
     s = _stable_sigmoid(x.value)
     out = Node("sigmoid", s, (x,))
 
-    def _bw():
-        x.grad += out.grad * s * (1.0 - s)
+    def _bw(g):
+        x.grad += g * s * (1.0 - s)
 
     out._backward = _bw
     return out
@@ -100,8 +98,8 @@ def tanh(x: Node) -> Node:
     t = np.tanh(x.value)
     out = Node("tanh", t, (x,))
 
-    def _bw():
-        x.grad += out.grad * (1.0 - t * t)
+    def _bw(g):
+        x.grad += g * (1.0 - t * t)
 
     out._backward = _bw
     return out
@@ -116,9 +114,9 @@ def add(a: Node, b: Node) -> Node:
     _require_same_shape("add", a, b)
     out = Node("add", a.value + b.value, (a, b))
 
-    def _bw():
-        a.grad += out.grad
-        b.grad += out.grad
+    def _bw(g):
+        a.grad += g
+        b.grad += g
 
     out._backward = _bw
     return out
@@ -128,9 +126,9 @@ def hadamard(a: Node, b: Node) -> Node:
     _require_same_shape("hadamard", a, b)
     out = Node("hadamard", a.value * b.value, (a, b))
 
-    def _bw():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+    def _bw(g):
+        a.grad += g * b.value
+        b.grad += g * a.value
 
     out._backward = _bw
     return out
@@ -138,24 +136,17 @@ def hadamard(a: Node, b: Node) -> Node:
 
 def scale(x: Node, c: float) -> Node:
     """Multiply by a python float constant (not a graph node)."""
-    c = float(c)
     out = Node("scale", x.value * c, (x,))
 
-    def _bw():
-        x.grad += out.grad * c
+    def _bw(g):
+        x.grad += g * c
 
     out._backward = _bw
     return out
 
 
 def negate(x: Node) -> Node:
-    out = Node("negate", -x.value, (x,))
-
-    def _bw():
-        x.grad -= out.grad
-
-    out._backward = _bw
-    return out
+    return scale(x, -1.0)
 
 
 def scalar_mul(x: Node, s: Node) -> Node:
@@ -164,9 +155,9 @@ def scalar_mul(x: Node, s: Node) -> Node:
         raise DimensionError(f"scalar_mul: scalar operand has shape {s.value.shape}")
     out = Node("scalar_mul", x.value * s.value, (x, s))
 
-    def _bw():
-        x.grad += out.grad * s.value
-        s.grad += (out.grad * x.value).sum()
+    def _bw(g):
+        x.grad += g * s.value
+        s.grad += (g * x.value).sum()
 
     out._backward = _bw
     return out
@@ -178,8 +169,7 @@ def lerp(t: Node, a: Node, b: Node) -> Node:
     _require_same_shape("lerp", t, b)
     out = Node("lerp", t.value * a.value + (1.0 - t.value) * b.value, (t, a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         t.grad += g * (a.value - b.value)
         a.grad += g * t.value
         b.grad += g * (1.0 - t.value)
@@ -197,9 +187,9 @@ def concat(a: Node, b: Node) -> Node:
     m = a.value.shape[0]
     out = Node("concat", np.concatenate([a.value, b.value]), (a, b))
 
-    def _bw():
-        a.grad += out.grad[:m]
-        b.grad += out.grad[m:]
+    def _bw(g):
+        a.grad += g[:m]
+        b.grad += g[m:]
 
     out._backward = _bw
     return out
@@ -219,10 +209,10 @@ def mean_pool(xs: list[Node]) -> Node:
         acc += x.value
     out = Node("mean_pool", acc / n, tuple(xs))
 
-    def _bw():
-        g = out.grad / n
+    def _bw(g):
+        share = g / n
         for x in xs:
-            x.grad += g
+            x.grad += share
 
     out._backward = _bw
     return out
@@ -234,9 +224,9 @@ def dot(a: Node, b: Node) -> Node:
         raise DimensionError(f"dot: shapes {a.value.shape} and {b.value.shape} do not conform")
     out = Node("dot", np.asarray(a.value @ b.value), (a, b))
 
-    def _bw():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+    def _bw(g):
+        a.grad += g * b.value
+        b.grad += g * a.value
 
     out._backward = _bw
     return out
@@ -245,8 +235,8 @@ def dot(a: Node, b: Node) -> Node:
 def sum_all(x: Node) -> Node:
     out = Node("sum_all", np.asarray(x.value.sum()), (x,))
 
-    def _bw():
-        x.grad += out.grad
+    def _bw(g):
+        x.grad += g
 
     out._backward = _bw
     return out
@@ -260,8 +250,8 @@ def row(matrix: Node, index: int) -> Node:
         raise IndexError(f"row: index {index} out of range for {matrix.value.shape[0]} rows")
     out = Node("row", matrix.value[index].copy(), (matrix,))
 
-    def _bw():
-        matrix.grad[index] += out.grad
+    def _bw(g):
+        matrix.grad[index] += g
 
     out._backward = _bw
     return out
@@ -291,8 +281,7 @@ def affine(bias: Node, *terms: tuple[Node, Node]) -> Node:
     parents = (bias,) + tuple(n for pair in terms for n in pair)
     out = Node("affine", acc, parents)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         bias.grad += g
         for w, x in terms:
             w.grad += np.outer(g, x.value)
@@ -316,9 +305,9 @@ def bce_loss(p: Node, y: int) -> Node:
     val = -np.log(c) if y == 1 else -np.log1p(-c)
     out = Node("bce_loss", np.asarray(val), (p,))
 
-    def _bw():
+    def _bw(g):
         d = -1.0 / c if y == 1 else 1.0 / (1.0 - c)
-        p.grad += out.grad * d
+        p.grad += g * d
 
     out._backward = _bw
     return out
@@ -337,10 +326,10 @@ def softmax_nll(logits: Node, target: int) -> Node:
     sm = z / total
     out = Node("softmax_nll", np.asarray(np.log(total) - (v[target] - m)), (logits,))
 
-    def _bw():
-        g = sm.copy()
-        g[target] -= 1.0
-        logits.grad += out.grad * g
+    def _bw(g):
+        d = sm.copy()
+        d[target] -= 1.0
+        logits.grad += g * d
 
     out._backward = _bw
     return out
@@ -382,13 +371,7 @@ def backward(root: Node) -> None:
     root.grad[...] = 1.0
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
-
-
-def zero_graph(root: Node) -> None:
-    """Zero the gradient of every node reachable from root."""
-    for node in graph_nodes(root):
-        node.grad[...] = 0.0
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +413,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for node in self._params.values():
             node.grad[...] = 0.0
-
-    def num_elements(self) -> int:
-        return sum(node.value.size for node in self._params.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .corpus import (
     CorpusConfig,
     CorpusError,
     Document,
-    Vocabulary,
     build_vocab,
     encode,
     load_corpus,
@@ -30,9 +30,10 @@ from .corpus import (
 )
 from .evaluation import EvaluationError, SelectionPolicy, evaluate_corpus, select
 from .model import (
+    FACTORS,
     CheckpointError,
+    ForwardResult,
     ModelConfig,
-    ModelParams,
     forward,
     init_params,
     load_checkpoint,
@@ -258,27 +259,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path: str) -> tuple[ad.ParameterStore, ModelParams, ModelConfig, Vocabulary]:
+def _load_model_and_corpus(
+    args, config: RunConfig
+) -> tuple[list[Document], Callable[[Document], ForwardResult]]:
+    """Load the checkpoint, read the input corpus clipped to the model's
+    position table, and return the documents with a forward pass over one."""
     try:
-        return load_checkpoint(path)
+        _, params, model_cfg, vocab = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
-        raise CliError(f"checkpoint not found: {path}") from exc
-
-
-def _model_scorer(params: ModelParams, vocab: Vocabulary):
-    def scorer(doc: Document) -> list[float]:
-        return forward(params, encode(doc, vocab)).probability_values()
-
-    return scorer
-
-
-def _corpus_for_model(args_input, config: RunConfig, model_cfg: ModelConfig):
+        raise CliError(f"checkpoint not found: {args.checkpoint}") from exc
     corpus_cfg = config.corpus_config()
-    if corpus_cfg.max_sentences > model_cfg.max_abs_positions:
-        corpus_cfg = dataclasses.replace(
-            corpus_cfg, max_sentences=model_cfg.max_abs_positions
-        )
-    return load_corpus(args_input, corpus_cfg)
+    max_sentences = min(corpus_cfg.max_sentences, model_cfg.max_abs_positions)
+    docs, _ = load_corpus(args.input, dataclasses.replace(corpus_cfg, max_sentences=max_sentences))
+    return docs, lambda doc: forward(params, encode(doc, vocab))
 
 
 def cmd_summarize(args) -> int:
@@ -293,9 +286,8 @@ def cmd_summarize(args) -> int:
     else:
         if not args.checkpoint:
             raise CliError(f"policy {policy} requires --checkpoint")
-        _, params, model_cfg, vocab = _load_model(args.checkpoint)
-        docs, _ = _corpus_for_model(args.input, config, model_cfg)
-        scorer = _model_scorer(params, vocab)
+        docs, run = _load_model_and_corpus(args, config)
+        scorer = lambda doc: run(doc).probability_values()
 
     out_path = out_dir / "summaries.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -329,9 +321,8 @@ def cmd_evaluate(args) -> int:
         docs, _ = load_corpus(args.input, config.corpus_config())
         scorer = None
     elif args.checkpoint:
-        _, params, model_cfg, vocab = _load_model(args.checkpoint)
-        docs, _ = _corpus_for_model(args.input, config, model_cfg)
-        scorer = _model_scorer(params, vocab)
+        docs, run = _load_model_and_corpus(args, config)
+        scorer = lambda doc: run(doc).probability_values()
         policy = config.selection_policy()
     else:
         raise CliError("evaluate needs --checkpoint or --baseline")
@@ -375,9 +366,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _min_max_columns(breakdowns) -> list[dict[str, float]]:
-    factors = ("content", "salience", "novelty", "abs_pos", "rel_pos", "bias")
     normalized = [{} for _ in breakdowns]
-    for name in factors:
+    for name in FACTORS:
         column = [getattr(b, name) for b in breakdowns]
         lo, hi = min(column), max(column)
         for i, v in enumerate(column):
@@ -387,46 +377,31 @@ def _min_max_columns(breakdowns) -> list[dict[str, float]]:
 
 def cmd_inspect(args) -> int:
     config = resolve_config(args)
-    _, params, model_cfg, vocab = _load_model(args.checkpoint)
-    docs, _ = _corpus_for_model(args.input, config, model_cfg)
+    docs, run = _load_model_and_corpus(args, config)
     if args.id is not None:
-        matches = [d for d in docs if d.doc_id == args.id]
-        if not matches:
+        doc = next((d for d in docs if d.doc_id == args.id), None)
+        if doc is None:
             raise CliError(f"document id {args.id!r} not found in {args.input}")
-        doc = matches[0]
     elif len(docs) == 1:
         doc = docs[0]
     else:
         raise CliError(f"{args.input} holds {len(docs)} documents; pass --id")
 
-    result = forward(params, encode(doc, vocab))
-    normalized = _min_max_columns(result.breakdowns)
-    rows = []
-    for i, (b, norm) in enumerate(zip(result.breakdowns, normalized)):
-        rows.append(
-            {
-                "index": i,
-                "content": b.content,
-                "salience": b.salience,
-                "novelty": b.novelty,
-                "abs_pos": b.abs_pos,
-                "rel_pos": b.rel_pos,
-                "bias": b.bias,
-                "normalized": norm,
-                "probability": b.probability,
-            }
-        )
+    breakdowns = run(doc).breakdowns
+    rows = [
+        {"index": i, **dataclasses.asdict(b), "normalized": norm}
+        for i, (b, norm) in enumerate(zip(breakdowns, _min_max_columns(breakdowns)))
+    ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(out_dir / "inspect.json", {"id": doc.doc_id, "sentences": rows})
     write_run_config(out_dir / RUN_CONFIG_NAME, config)
 
-    factors = ("content", "salience", "novelty", "abs_pos", "rel_pos", "bias")
-    header = "sent  " + "".join(f"{name:>10s}" for name in factors) + f"{'prob':>10s}"
+    header = "sent  " + "".join(f"{name:>10s}" for name in FACTORS) + f"{'prob':>10s}"
     print(f"document {doc.doc_id}")
     print(header)
     for row in rows:
-        cells = "".join(f"{row[name]:10.4f}" for name in factors)
+        cells = "".join(f"{row[name]:10.4f}" for name in FACTORS)
         print(f"{row['index']:4d}  {cells}{row['probability']:10.4f}")
     return 0
 

@@ -134,9 +134,13 @@ def truncate_document(doc: Document, config: CorpusConfig) -> Document:
 
 
 def load_corpus(path: str | Path, config: CorpusConfig) -> tuple[list[Document], int]:
-    """Read a JSONL corpus; returns (documents, count of skipped empty docs)."""
+    """Read a JSONL corpus; returns (documents, count of skipped empty docs).
+
+    Document ids must be unique within the file.
+    """
     docs: list[Document] = []
     skipped = 0
+    first_line: dict[str, int] = {}  # document id -> line it first appeared on
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -148,6 +152,13 @@ def load_corpus(path: str | Path, config: CorpusConfig) -> tuple[list[Document],
             if not isinstance(obj, dict):
                 raise CorpusError(f"line {lineno}: expected a JSON object")
             doc = parse_document(obj, lineno)
+            doc_id = obj["id"]
+            if doc_id in first_line:
+                raise CorpusError(
+                    f"{path}: line {lineno}: duplicate document id {doc_id!r} "
+                    f"(first on line {first_line[doc_id]})"
+                )
+            first_line[doc_id] = lineno
             if doc is None:
                 skipped += 1
                 continue
@@ -193,7 +204,8 @@ def load_word_vectors(
 
     Rows for tokens missing from the file (including the reserved tokens) are
     drawn uniform from [-0.05, 0.05]. A leading `count dim` header line is
-    tolerated. Returns (matrix, number of vocabulary tokens covered).
+    tolerated; a non-finite component of a vocabulary token's vector is an
+    error. Returns (matrix, number of vocabulary tokens covered).
     """
     matrix = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     covered: set[int] = set()
@@ -216,6 +228,10 @@ def load_word_vectors(
                 matrix[idx] = [float(v) for v in values]
             except ValueError as exc:
                 raise CorpusError(f"line {lineno}: non-numeric vector component") from exc
+            if not np.isfinite(matrix[idx]).all():
+                raise CorpusError(
+                    f"{path}: line {lineno}: non-finite vector component for {token!r}"
+                )
             covered.add(idx)
     return matrix, len(covered)
 

@@ -173,25 +173,3 @@ def evaluate_corpus(
         per_document=per_doc,
     )
 
-
-def tune_k(
-    scorer: Scorer,
-    docs: list[Document],
-    k_range: list[int],
-    variant: str = "rouge1",
-) -> int:
-    """Pick the top-k count maximizing full-length F1 on a validation corpus."""
-    if not k_range:
-        raise EvaluationError("tune_k: empty k range")
-    if variant not in ROUGE_VARIANTS:
-        raise EvaluationError(f"unknown rouge variant {variant!r}")
-    best_k = None
-    best_score = -1.0
-    for k in sorted(k_range):
-        report = evaluate_corpus(
-            scorer, docs, SelectionPolicy.top_k(k), LengthLimit.none(), flavor="f1"
-        )
-        score = report.value(variant)
-        if score > best_score:  # ties keep the smaller k
-            best_k, best_score = k, score
-    return best_k

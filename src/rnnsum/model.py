@@ -12,7 +12,8 @@ sentence vectors seen so far.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,24 +73,17 @@ class GruParams:
     W_hx: ad.Node
     W_hh: ad.Node
     b_h: ad.Node
+    # context weights, present only in a cell that reads a context vector
+    W_uc: ad.Node | None = None
+    W_rc: ad.Node | None = None
+    W_hc: ad.Node | None = None
 
 
 @dataclass
 class DecoderParams:
     """GRU with an extra context input plus the word-emission head."""
 
-    W_ux: ad.Node
-    W_uh: ad.Node
-    W_uc: ad.Node
-    b_u: ad.Node
-    W_rx: ad.Node
-    W_rh: ad.Node
-    W_rc: ad.Node
-    b_r: ad.Node
-    W_hx: ad.Node
-    W_hh: ad.Node
-    W_hc: ad.Node
-    b_h: ad.Node
+    gru: GruParams
     emit_Wh: ad.Node
     emit_Wx: ad.Node
     emit_Wc: ad.Node
@@ -119,6 +113,9 @@ class ModelParams:
     rel_pos_table: ad.Node
     score_bias: ad.Node  # scalar
     decoder: DecoderParams | None = None
+
+
+FACTORS = ("content", "salience", "novelty", "abs_pos", "rel_pos", "bias")
 
 
 @dataclass(frozen=True)
@@ -235,12 +232,8 @@ def init_params(
 
 
 def _wire_gru(store: ad.ParameterStore, prefix: str) -> GruParams:
-    g = lambda n: store[f"{prefix}.{n}"]
-    return GruParams(
-        g("W_ux"), g("W_uh"), g("b_u"),
-        g("W_rx"), g("W_rh"), g("b_r"),
-        g("W_hx"), g("W_hh"), g("b_h"),
-    )
+    names = (f.name for f in fields(GruParams))
+    return GruParams(**{n: store[f"{prefix}.{n}"] for n in names if f"{prefix}.{n}" in store})
 
 
 def wire_params(store: ad.ParameterStore, config: ModelConfig) -> ModelParams:
@@ -248,9 +241,7 @@ def wire_params(store: ad.ParameterStore, config: ModelConfig) -> ModelParams:
     if config.decoder_enabled:
         d = lambda n: store[f"decoder.{n}"]
         decoder = DecoderParams(
-            d("W_ux"), d("W_uh"), d("W_uc"), d("b_u"),
-            d("W_rx"), d("W_rh"), d("W_rc"), d("b_r"),
-            d("W_hx"), d("W_hh"), d("W_hc"), d("b_h"),
+            _wire_gru(store, "decoder"),
             d("emit.W_h"), d("emit.W_x"), d("emit.W_c"), d("emit.b"),
             d("out.W"), d("out.b"),
         )
@@ -281,11 +272,20 @@ def wire_params(store: ad.ParameterStore, config: ModelConfig) -> ModelParams:
 # forward computation
 
 
-def gru_step(gru: GruParams, x: ad.Node, h_prev: ad.Node) -> ad.Node:
-    """One update/reset-gated recurrence step."""
-    u = ad.sigmoid(ad.affine(gru.b_u, (gru.W_ux, x), (gru.W_uh, h_prev)))
-    r = ad.sigmoid(ad.affine(gru.b_r, (gru.W_rx, x), (gru.W_rh, h_prev)))
-    h_cand = ad.tanh(ad.affine(gru.b_h, (gru.W_hx, x), (gru.W_hh, ad.hadamard(r, h_prev))))
+def gru_step(
+    gru: GruParams, x: ad.Node, h_prev: ad.Node, ctx: ad.Node | None = None
+) -> ad.Node:
+    """One update/reset-gated recurrence step.
+
+    A context vector `ctx`, when given, enters every gate through the cell's
+    W_*c weights as the last term of the gate's affine map.
+    """
+    c = lambda w: () if ctx is None else ((w, ctx),)
+    u = ad.sigmoid(ad.affine(gru.b_u, (gru.W_ux, x), (gru.W_uh, h_prev), *c(gru.W_uc)))
+    r = ad.sigmoid(ad.affine(gru.b_r, (gru.W_rx, x), (gru.W_rh, h_prev), *c(gru.W_rc)))
+    h_cand = ad.tanh(
+        ad.affine(gru.b_h, (gru.W_hx, x), (gru.W_hh, ad.hadamard(r, h_prev)), *c(gru.W_hc))
+    )
     return ad.lerp(u, h_prev, h_cand)
 
 
@@ -399,7 +399,11 @@ def forward(params: ModelParams, sent_ids: list[list[int]]) -> ForwardResult:
 def save_checkpoint(
     path: str | Path, store: ad.ParameterStore, config: ModelConfig, vocab: Vocabulary
 ) -> None:
-    """Write config, vocabulary, and all named parameters as one JSON file."""
+    """Write config, vocabulary, and all named parameters as one JSON file.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over `path`, so a failed write leaves the previous file.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -410,9 +414,18 @@ def save_checkpoint(
             for name, node in store.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(

@@ -95,10 +95,6 @@ def greedy_trace(doc: Document, config: OracleConfig) -> GreedyTrace:
     return GreedyTrace(labels, picked, scores)
 
 
-def greedy_labels(doc: Document, config: OracleConfig) -> list[int]:
-    return greedy_trace(doc, config).labels
-
-
 def label_corpus(
     docs: list[Document], config: OracleConfig
 ) -> tuple[list[Document], LabelStats]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS, Document, Vocabulary, encode, encode_summary
-from .model import DecoderParams, ModelParams, forward, save_checkpoint
+from .model import DecoderParams, ModelParams, forward, gru_step, save_checkpoint
 
 TRAIN_MODES = ("extractive", "abstractive")
 
@@ -88,21 +88,7 @@ def decoder_forward(
     x = ad.row(embedding, BOS)
     loss = None
     for w in reference:
-        u = ad.sigmoid(
-            ad.affine(decoder.b_u, (decoder.W_ux, x), (decoder.W_uh, h), (decoder.W_uc, s_last))
-        )
-        r = ad.sigmoid(
-            ad.affine(decoder.b_r, (decoder.W_rx, x), (decoder.W_rh, h), (decoder.W_rc, s_last))
-        )
-        h_cand = ad.tanh(
-            ad.affine(
-                decoder.b_h,
-                (decoder.W_hx, x),
-                (decoder.W_hh, ad.hadamard(r, h)),
-                (decoder.W_hc, s_last),
-            )
-        )
-        h = ad.lerp(u, h, h_cand)
+        h = gru_step(decoder.gru, x, h, s_last)
         f = ad.tanh(
             ad.affine(
                 decoder.emit_b,
@@ -248,12 +234,14 @@ def _example_loss(params: ModelParams, ex: _Example, mode: str) -> ad.Node:
     return abstractive_loss(params, ex.sent_ids, ex.reference)
 
 
+def _loss_sum(params: ModelParams, examples: list[_Example], mode: str) -> float:
+    """Summed per-document loss with parameters frozen (no gradient step)."""
+    return sum(float(_example_loss(params, ex, mode).value) for ex in examples)
+
+
 def _validation_loss(params: ModelParams, examples: list[_Example], mode: str) -> float:
-    """Mean per-document loss with parameters frozen (no gradient step)."""
-    total = 0.0
-    for ex in examples:
-        total += float(_example_loss(params, ex, mode).value)
-    return total / len(examples)
+    """Mean per-document loss."""
+    return _loss_sum(params, examples, mode) / len(examples)
 
 
 def sentence_accuracy(params: ModelParams, examples: list[_Example], threshold=0.5) -> float:
@@ -296,7 +284,6 @@ def train(
     final_path = out_dir / "checkpoint_final.json"
 
     rng = np.random.default_rng([config.seed, 1])
-    grad_acc = {name: np.zeros_like(node.value) for name, node in store.items()}
 
     epochs: list[EpochStats] = []
     best_valid = math.inf
@@ -310,19 +297,15 @@ def train(
         epoch_words = 0
         for start in range(0, len(order), config.batch_size):
             batch = [train_ex[i] for i in order[start : start + config.batch_size]]
-            for acc in grad_acc.values():
-                acc[...] = 0.0
-            for ex in batch:
-                store.zero_grad()
+            store.zero_grad()
+            for ex in batch:  # backward sums each document's gradient into node.grad
                 loss = _example_loss(params, ex, config.mode)
                 ad.backward(loss)
-                for name, node in store.items():
-                    grad_acc[name] += node.grad
                 epoch_loss += float(loss.value)
                 epoch_words += ex.n_words
             inv = 1.0 / len(batch)
-            for name, node in store.items():
-                node.grad[...] = grad_acc[name] * inv
+            for _, node in store.items():
+                node.grad *= inv
             clip_gradients(store, config.clip_norm)
             adadelta_step(store, config.adadelta_rho, config.adadelta_eps)
 
@@ -358,10 +341,9 @@ def train(
     if config.mode == "extractive":
         report.final_train_accuracy = sentence_accuracy(params, train_ex)
     else:
-        total_nll = total_words = 0.0
-        for ex in train_ex:
-            total_nll += float(_example_loss(params, ex, config.mode).value)
-            total_words += ex.n_words
-        report.final_train_perplexity = math.exp(total_nll / total_words)
+        total_words = sum(ex.n_words for ex in train_ex)
+        report.final_train_perplexity = math.exp(
+            _loss_sum(params, train_ex, config.mode) / total_words
+        )
     (out_dir / "training_report.json").write_text(report.to_json(), encoding="utf-8")
     return report

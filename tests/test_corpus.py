@@ -87,6 +87,20 @@ def test_empty_document_skipped_with_count(tmp_path):
     assert skipped == 2
 
 
+def test_duplicate_document_id_names_the_second_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "x", "sentences": [["a"]]},
+            {"id": "y", "sentences": [["b"]]},
+            {"id": "x", "sentences": [["c"]]},
+        ],
+    )
+    with pytest.raises(CorpusError, match=r"line 3: duplicate document id 'x' \(first on line 1\)"):
+        load_corpus(path, CorpusConfig())
+
+
 def test_label_count_mismatch_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"id": "d1", "sentences": [["a"], ["b"]], "labels": [1]}])
@@ -210,6 +224,15 @@ def test_word_vectors_dim_mismatch_reports_line(tmp_path):
     path.write_text("cat 0.1 0.2\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="line 1"):
         load_word_vectors(path, vocab, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_word_vectors_non_finite_component_names_file_and_line(tmp_path, bad):
+    vocab = Vocabulary(["a"])
+    path = tmp_path / "vec.txt"
+    path.write_text(f"b 0.1 0.2\na {bad} 1.0\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"vec\.txt: line 2: non-finite vector component for 'a'"):
+        load_word_vectors(path, vocab, 2, np.random.default_rng(0))
 
 
 def test_word_vectors_header_tolerated(tmp_path):

@@ -8,7 +8,6 @@ from rnnsum.evaluation import (
     SelectionPolicy,
     evaluate_corpus,
     select,
-    tune_k,
 )
 from rnnsum.rouge import LengthLimit
 
@@ -166,30 +165,3 @@ def test_evaluate_corpus_scorer_driven_selection():
     assert report.rouge1 == 1.0
     assert all(d.selected == [0, 1, 2] for d in report.per_document)
 
-
-# tune_k ----------------------------------------------------------------------------
-
-
-def test_tune_k_recovers_summary_size():
-    docs = perfect_lead_corpus()
-
-    def scorer(doc):
-        return [0.9, 0.8, 0.7, 0.1, 0.2][: len(doc.sentences)]
-
-    assert tune_k(scorer, docs, [1, 2, 3, 4, 5]) == 3
-
-
-def test_tune_k_singleton_range():
-    docs = perfect_lead_corpus()
-    assert tune_k(lambda d: [0.5] * len(d.sentences), docs, [2]) == 2
-
-
-def test_tune_k_tie_prefers_smaller_k():
-    # summary disjoint from every sentence: all k score 0, a genuine tie
-    docs = [Document("t", [["x"], ["y"], ["z"]], summary=[["q"]])]
-    assert tune_k(lambda d: [0.3, 0.2, 0.1], docs, [3, 2]) == 2
-
-
-def test_tune_k_empty_range_rejected():
-    with pytest.raises(EvaluationError):
-        tune_k(lambda d: [], [], [])

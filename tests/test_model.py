@@ -75,6 +75,30 @@ def test_gru_one_dim_hand_value():
     assert float(h.value[0]) == pytest.approx(0.380797, abs=1e-6)
 
 
+def test_gru_context_term_only_when_given():
+    store, params = make_params(toy_config(decoder_enabled=True), seed=41)
+    gru = params.decoder.gru
+    assert params.word_fwd.W_uc is None and gru.W_uc is store["decoder.W_uc"]
+    rng = np.random.default_rng(42)
+    x = ad.constant(rng.normal(size=3))
+    h = ad.constant(rng.normal(size=4))
+    ctx = ad.constant(rng.normal(size=4))
+    plain = gru_step(gru, x, h).value
+    assert not np.allclose(gru_step(gru, x, h, ctx).value, plain)
+    for gate in "urh":
+        store[f"decoder.W_{gate}c"].value[...] = 0.0
+    np.testing.assert_array_equal(gru_step(gru, x, h, ctx).value, plain)
+
+
+def test_gru_one_dim_context_hand_value():
+    store, params = make_params(
+        toy_config(embedding_dim=1, hidden_dim=1, decoder_enabled=True), zero=True
+    )
+    store["decoder.W_hc"].value[...] = 1.0
+    h = gru_step(params.decoder.gru, ad.constant([0.0]), ad.constant([0.0]), ad.constant([1.0]))
+    assert float(h.value[0]) == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
+
+
 # rel_segment --------------------------------------------------------------------
 
 
@@ -276,6 +300,29 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     save_checkpoint(p1, store, cfg, vocab)
     save_checkpoint(p2, store, cfg, vocab)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    cfg = toy_config()
+    store, _ = make_params(cfg, seed=31)
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, store, cfg, vocab)
+    before = path.read_bytes()
+
+    def dump_then_fail(payload, fh, **kwargs):
+        fh.write('{"config":')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("rnnsum.model.json.dump", dump_then_fail)
+    for _, node in store.items():
+        node.value += 1.0
+    with pytest.raises(OSError):
+        save_checkpoint(path, store, cfg, vocab)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    load_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch_fails_loudly(tmp_path):

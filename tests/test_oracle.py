@@ -8,7 +8,6 @@ from rnnsum.oracle import (
     LabelStats,
     OracleConfig,
     OracleError,
-    greedy_labels,
     greedy_trace,
     label_corpus,
 )
@@ -65,7 +64,7 @@ def worked_doc():
 
 
 def test_worked_example_labels():
-    assert greedy_labels(worked_doc(), OracleConfig()) == [0, 1, 1]
+    assert greedy_trace(worked_doc(), OracleConfig()).labels == [0, 1, 1]
 
 
 def test_worked_example_step_scores():
@@ -81,17 +80,17 @@ def test_perfect_single_sentence():
         [["x", "y"], ["q", "r"], ["s", "t"]],
         summary=[["x", "y"]],
     )
-    assert greedy_labels(doc, OracleConfig()) == [1, 0, 0]
+    assert greedy_trace(doc, OracleConfig()).labels == [1, 0, 0]
 
 
 def test_disjoint_sentences_all_zero():
     doc = Document("z", [["a"], ["b"]], summary=[["q", "r"]])
-    assert greedy_labels(doc, OracleConfig()) == [0, 0]
+    assert greedy_trace(doc, OracleConfig()).labels == [0, 0]
 
 
 def test_missing_summary_rejected():
     with pytest.raises(OracleError):
-        greedy_labels(Document("m", [["a"]]), OracleConfig())
+        greedy_trace(Document("m", [["a"]]), OracleConfig())
 
 
 def test_max_selected_caps_selection():
@@ -100,7 +99,7 @@ def test_max_selected_caps_selection():
         [["a"], ["b"], ["c"]],
         summary=[["a", "b", "c"]],
     )
-    labels = greedy_labels(doc, OracleConfig(max_selected=2))
+    labels = greedy_trace(doc, OracleConfig(max_selected=2)).labels
     assert sum(labels) == 2
 
 
@@ -169,7 +168,7 @@ def test_step_scores_non_decreasing(sentences, summary):
 @given(doc_sentences, sentence, st.integers(min_value=1, max_value=3))
 def test_selected_count_respects_cap(sentences, summary, cap):
     doc = Document("h", sentences, summary=[summary])
-    labels = greedy_labels(doc, OracleConfig(max_selected=cap))
+    labels = greedy_trace(doc, OracleConfig(max_selected=cap)).labels
     assert sum(labels) <= cap
 
 

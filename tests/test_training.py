@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from rnnsum import autodiff as ad
 from rnnsum.corpus import Document, Vocabulary
-from rnnsum.model import ModelConfig, init_params
+from rnnsum.model import ModelConfig, forward, init_params
 from rnnsum.training import (
     TrainConfig,
     TrainingError,
@@ -401,3 +402,33 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=0.0)
+
+
+# graph lifetime -------------------------------------------------------------------
+
+
+def test_graphs_freed_without_the_cycle_collector():
+    _, params = make_params(toy_config(decoder_enabled=True), seed=5)
+    doc = [[4, 5], [6, 7, 8]]
+
+    def live_nodes():
+        return sum(isinstance(o, ad.Node) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_nodes()
+        result = forward(params, doc)
+        assert live_nodes() > before
+        del result
+        assert live_nodes() == before
+        loss = extractive_loss(params, doc, [1, 0])
+        ad.backward(loss)
+        del loss
+        assert live_nodes() == before
+        loss = abstractive_loss(params, doc, [4, 6, 5])
+        ad.backward(loss)
+        del loss
+        assert live_nodes() == before
+    finally:
+        gc.enable()
