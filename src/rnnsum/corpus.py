@@ -80,37 +80,37 @@ class Vocabulary:
         return self.index_to_token[len(RESERVED_TOKENS) :]
 
 
-def _field(obj: dict, name: str, lineno: int):
+def _field(obj: dict, name: str, where: str):
     if name not in obj:
-        raise CorpusError(f"line {lineno}: missing required field {name!r}")
+        raise CorpusError(f"{where}: missing required field {name!r}")
     return obj[name]
 
 
-def _check_sentences(value, name: str, lineno: int) -> list[list[str]]:
+def _check_sentences(value, name: str, where: str) -> list[list[str]]:
     if not isinstance(value, list) or any(
         not isinstance(s, list) or any(not isinstance(t, str) for t in s) for s in value
     ):
-        raise CorpusError(f"line {lineno}: field {name!r} must be a list of token lists")
+        raise CorpusError(f"{where}: field {name!r} must be a list of token lists")
     return value
 
 
-def parse_document(obj: dict, lineno: int) -> Document | None:
-    """Validate one JSONL record; returns None for an empty document."""
-    doc_id = _field(obj, "id", lineno)
+def parse_document(obj: dict, where: str) -> Document | None:
+    """Validate one JSONL record, `where` (file and line) starting each error; None if empty."""
+    doc_id = _field(obj, "id", where)
     if not isinstance(doc_id, str):
-        raise CorpusError(f"line {lineno}: field 'id' must be a string")
-    sentences = _check_sentences(_field(obj, "sentences", lineno), "sentences", lineno)
+        raise CorpusError(f"{where}: field 'id' must be a string")
+    sentences = _check_sentences(_field(obj, "sentences", where), "sentences", where)
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or any(y not in (0, 1) for y in labels):
-            raise CorpusError(f"line {lineno}: field 'labels' must be a list of 0/1")
+            raise CorpusError(f"{where}: field 'labels' must be a list of 0/1")
         if len(labels) != len(sentences):
             raise CorpusError(
-                f"line {lineno}: {len(labels)} labels for {len(sentences)} sentences"
+                f"{where}: {len(labels)} labels for {len(sentences)} sentences"
             )
     summary = obj.get("summary")
     if summary is not None:
-        summary = _check_sentences(summary, "summary", lineno)
+        summary = _check_sentences(summary, "summary", where)
         summary = [s for s in summary if s]
         if not summary:
             summary = None
@@ -145,17 +145,18 @@ def load_corpus(path: str | Path, config: CorpusConfig) -> tuple[list[Document],
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict):
-                raise CorpusError(f"line {lineno}: expected a JSON object")
-            doc = parse_document(obj, lineno)
+                raise CorpusError(f"{where}: expected a JSON object")
+            doc = parse_document(obj, where)
             doc_id = obj["id"]
             if doc_id in first_line:
                 raise CorpusError(
-                    f"{path}: line {lineno}: duplicate document id {doc_id!r} "
+                    f"{where}: duplicate document id {doc_id!r} "
                     f"(first on line {first_line[doc_id]})"
                 )
             first_line[doc_id] = lineno
@@ -219,7 +220,7 @@ def load_word_vectors(
             token, values = parts[0], parts[1:]
             if len(values) != dim:
                 raise CorpusError(
-                    f"line {lineno}: expected {dim} vector components, got {len(values)}"
+                    f"{path}: line {lineno}: expected {dim} vector components, got {len(values)}"
                 )
             idx = vocab.token_to_index.get(token)
             if idx is None or idx < len(RESERVED_TOKENS):
@@ -227,7 +228,7 @@ def load_word_vectors(
             try:
                 matrix[idx] = [float(v) for v in values]
             except ValueError as exc:
-                raise CorpusError(f"line {lineno}: non-numeric vector component") from exc
+                raise CorpusError(f"{path}: line {lineno}: non-numeric vector component") from exc
             if not np.isfinite(matrix[idx]).all():
                 raise CorpusError(
                     f"{path}: line {lineno}: non-finite vector component for {token!r}"

