@@ -123,9 +123,6 @@ class RunConfig:
     def length_limit(self) -> LengthLimit:
         return LengthLimit.parse(self.limit)
 
-    def selection_policy(self) -> SelectionPolicy:
-        return SelectionPolicy.parse(self.policy, self.length_limit())
-
     def to_text(self) -> str:
         lines = [
             f"{f.name} = {getattr(self, f.name)}"
@@ -259,16 +256,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_and_corpus(
-    args, config: RunConfig
-) -> tuple[list[Document], Callable[[Document], ForwardResult]]:
-    """Load the checkpoint, read the input corpus clipped to the model's
-    position table, and return the documents with a forward pass over one."""
+def _docs_and_scorer(
+    args, config: RunConfig, policy: SelectionPolicy
+) -> tuple[list[Document], Callable[[Document], ForwardResult] | None]:
+    """Read the input corpus and return it with the model's forward pass over
+    one document. lead:N needs no model: it reads no checkpoint and gets None.
+
+    Under a model the corpus is clipped to the model's position table.
+    """
+    corpus_cfg = config.corpus_config()
+    if policy.kind == "lead":
+        return load_corpus(args.input, corpus_cfg)[0], None
+    if not args.checkpoint:
+        raise CliError(f"policy {policy.describe(config.length_limit())} requires --checkpoint")
     try:
         _, params, model_cfg, vocab = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise CliError(f"checkpoint not found: {args.checkpoint}") from exc
-    corpus_cfg = config.corpus_config()
     max_sentences = min(corpus_cfg.max_sentences, model_cfg.max_abs_positions)
     docs, _ = load_corpus(args.input, dataclasses.replace(corpus_cfg, max_sentences=max_sentences))
     return docs, lambda doc: forward(params, encode(doc, vocab))
@@ -276,24 +280,17 @@ def _load_model_and_corpus(
 
 def cmd_summarize(args) -> int:
     config = resolve_config(args)
-    policy = config.selection_policy()
+    limit = config.length_limit()
+    policy = SelectionPolicy.parse(config.policy)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if policy.kind == "lead":
-        docs, _ = load_corpus(args.input, config.corpus_config())
-        scorer = None
-    else:
-        if not args.checkpoint:
-            raise CliError(f"policy {policy} requires --checkpoint")
-        docs, run = _load_model_and_corpus(args, config)
-        scorer = lambda doc: run(doc).probability_values()
+    docs, run = _docs_and_scorer(args, config, policy)
 
     out_path = out_dir / "summaries.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
         for doc in docs:
-            probs = scorer(doc) if scorer else None
-            chosen = select(probs if probs else [0.0] * len(doc.sentences), doc, policy)
+            probs = run(doc).probability_values() if run else None
+            chosen = select(probs, doc, policy, limit)
             record = {
                 "id": doc.doc_id,
                 "selected_indices": chosen,
@@ -314,70 +311,33 @@ def cmd_evaluate(args) -> int:
 
     if args.baseline and args.checkpoint:
         raise CliError("pass either --checkpoint or --baseline, not both")
-    if args.baseline:
-        policy = SelectionPolicy.parse(args.baseline, limit)
-        if policy.kind != "lead":
-            raise CliError("--baseline supports only lead:N")
-        docs, _ = load_corpus(args.input, config.corpus_config())
-        scorer = None
-    elif args.checkpoint:
-        docs, run = _load_model_and_corpus(args, config)
-        scorer = lambda doc: run(doc).probability_values()
-        policy = config.selection_policy()
-    else:
+    if not (args.baseline or args.checkpoint):
         raise CliError("evaluate needs --checkpoint or --baseline")
-
+    policy = SelectionPolicy.parse(args.baseline or config.policy)
+    if args.baseline and policy.kind != "lead":
+        raise CliError("--baseline supports only lead:N")
+    docs, run = _docs_and_scorer(args, config, policy)
+    scorer = (lambda doc: run(doc).probability_values()) if run else None
     report = evaluate_corpus(scorer, docs, policy, limit, config.flavor)
-    payload = {
-        "policy": report.policy,
-        "limit": report.limit,
-        "flavor": report.flavor,
-        "rouge1": report.rouge1,
-        "rouge2": report.rouge2,
-        "rougeL": report.rougeL,
-    }
-    if args.verbose:
-        payload["per_document"] = [
-            {
-                "id": d.doc_id,
-                "selected_indices": d.selected,
-                **{
-                    name: {
-                        "recall": d.scores[name].recall,
-                        "precision": d.scores[name].precision,
-                        "f1": d.scores[name].f1,
-                    }
-                    for name in ("rouge1", "rouge2", "rougeL")
-                },
-            }
-            for d in report.per_document
-        ]
-    _dump_json(out_dir / "evaluation_report.json", payload)
+    if not args.verbose:
+        del report["per_document"]
+    _dump_json(out_dir / "evaluation_report.json", report)
     write_run_config(out_dir / RUN_CONFIG_NAME, config)
 
-    print(f"policy {report.policy}  limit {report.limit}  flavor {report.flavor}")
+    print(f"policy {report['policy']}  limit {report['limit']}  flavor {report['flavor']}")
     print(f"{'variant':8s} {config.flavor:>8s}")
     for name in ("rouge1", "rouge2", "rougeL"):
-        print(f"{name:8s} {payload[name]:8.4f}")
+        print(f"{name:8s} {report[name]:8.4f}")
     if args.metric:
         variant = {"r1": "rouge1", "r2": "rouge2", "rl": "rougeL"}[args.metric]
-        print(f"{args.metric} = {payload[variant]:.6f}")
+        print(f"{args.metric} = {report[variant]:.6f}")
     return 0
-
-
-def _min_max_columns(breakdowns) -> list[dict[str, float]]:
-    normalized = [{} for _ in breakdowns]
-    for name in FACTORS:
-        column = [getattr(b, name) for b in breakdowns]
-        lo, hi = min(column), max(column)
-        for i, v in enumerate(column):
-            normalized[i][name] = 0.0 if hi == lo else (v - lo) / (hi - lo)
-    return normalized
 
 
 def cmd_inspect(args) -> int:
     config = resolve_config(args)
-    docs, run = _load_model_and_corpus(args, config)
+    # inspect always reads the model, whatever the configured policy
+    docs, run = _docs_and_scorer(args, config, SelectionPolicy("prob"))
     if args.id is not None:
         doc = next((d for d in docs if d.doc_id == args.id), None)
         if doc is None:
@@ -387,10 +347,16 @@ def cmd_inspect(args) -> int:
     else:
         raise CliError(f"{args.input} holds {len(docs)} documents; pass --id")
 
-    breakdowns = run(doc).breakdowns
+    result = run(doc)
+    factors = result.factors
+    # min-max scale each factor over the document; a constant factor reads 0
+    lo, span = factors.min(axis=0), np.ptp(factors, axis=0)
+    normalized = np.divide(factors - lo, span, out=np.zeros_like(factors), where=span != 0)
     rows = [
-        {"index": i, **dataclasses.asdict(b), "normalized": norm}
-        for i, (b, norm) in enumerate(zip(breakdowns, _min_max_columns(breakdowns)))
+        {"index": i, **dict(zip(FACTORS, f)), "probability": p, "normalized": dict(zip(FACTORS, m))}
+        for i, (f, p, m) in enumerate(
+            zip(factors.tolist(), result.probability_values(), normalized.tolist())
+        )
     ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,15 +8,18 @@ means of the requested recall or F1 flavor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .corpus import Document
-from .rouge import LengthLimit, RougeScore, evaluate_summary
+from .rouge import LengthLimit, evaluate_summary, is_integer
 
 Scorer = Callable[[Document], list[float]]
 
 ROUGE_VARIANTS = ("rouge1", "rouge2", "rougeL")
+
+# the count each policy takes, by the name its messages give it
+_COUNT_NAMES = {"prob": None, "topk": "k", "lead": "n"}
 
 
 class EvaluationError(ValueError):
@@ -26,53 +29,30 @@ class EvaluationError(ValueError):
 @dataclass(frozen=True)
 class SelectionPolicy:
     kind: str  # "prob" | "topk" | "lead"
-    limit: LengthLimit | None = None  # for "prob"
-    k: int | None = None  # for "topk"
-    n: int | None = None  # for "lead"
+    count: int | None = None  # k for "topk", n for "lead"
 
     def __post_init__(self):
-        if self.kind == "prob":
-            if self.limit is None:
-                raise ValueError("prob policy requires a length limit")
-        elif self.kind == "topk":
-            if self.k is None or self.k < 1:
-                raise ValueError("topk policy requires k >= 1")
-        elif self.kind == "lead":
-            if self.n is None or self.n < 1:
-                raise ValueError("lead policy requires n >= 1")
-        else:
+        if self.kind not in _COUNT_NAMES:
             raise ValueError(f"unknown selection policy {self.kind!r}")
+        name = _COUNT_NAMES[self.kind]
+        if name is None and self.count is not None:
+            raise ValueError(f"{self.kind} policy takes no count")
+        if name is not None and (self.count is None or self.count < 1):
+            raise ValueError(f"{self.kind} policy requires {name} >= 1")
 
     @classmethod
-    def by_probability(cls, limit: LengthLimit) -> "SelectionPolicy":
-        return cls("prob", limit=limit)
-
-    @classmethod
-    def top_k(cls, k: int) -> "SelectionPolicy":
-        return cls("topk", k=k)
-
-    @classmethod
-    def lead(cls, n: int) -> "SelectionPolicy":
-        return cls("lead", n=n)
-
-    @classmethod
-    def parse(cls, text: str, limit: LengthLimit | None = None) -> "SelectionPolicy":
+    def parse(cls, text: str) -> "SelectionPolicy":
         """Parse the CLI syntax: "prob", "topk:K", or "lead:N"."""
-        kind, _, arg = text.partition(":")
-        if kind == "prob":
-            return cls.by_probability(limit if limit is not None else LengthLimit.none())
-        if kind == "topk":
-            return cls.top_k(int(arg))
-        if kind == "lead":
-            return cls.lead(int(arg))
+        if text == "prob":
+            return cls("prob")
+        kind, _, count = text.partition(":")
+        if _COUNT_NAMES.get(kind) and is_integer(count):
+            return cls(kind, int(count))
         raise ValueError(f"cannot parse selection policy {text!r}")
 
-    def __str__(self) -> str:
-        if self.kind == "prob":
-            return f"prob[{self.limit}]"
-        if self.kind == "topk":
-            return f"topk:{self.k}"
-        return f"lead:{self.n}"
+    def describe(self, limit: LengthLimit) -> str:
+        """The report's name for the policy; only "prob" reads the limit."""
+        return f"prob[{limit}]" if self.kind == "prob" else f"{self.kind}:{self.count}"
 
 
 def _sentence_cost(sentence: list[str], unit: str) -> int:
@@ -81,53 +61,38 @@ def _sentence_cost(sentence: list[str], unit: str) -> int:
     return sum(len(tok.encode("utf-8")) for tok in sentence) + len(sentence)  # token + space
 
 
-def select(probabilities: list[float], doc: Document, policy: SelectionPolicy) -> list[int]:
-    """Chosen sentence indices, always sorted by document position."""
+def select(
+    probabilities: list[float] | None, doc: Document, policy: SelectionPolicy, limit: LengthLimit
+) -> list[int]:
+    """Chosen sentence indices, always sorted by document position.
+
+    `probabilities` may be None only under lead:N, which ignores them.
+    """
     n = len(doc.sentences)
-    if len(probabilities) != n:
+    if probabilities is None and policy.kind != "lead":
+        raise EvaluationError(f"policy {policy.describe(limit)} needs probabilities")
+    if probabilities is not None and len(probabilities) != n:
         raise EvaluationError(
             f"{len(probabilities)} probabilities for {n} sentences in {doc.doc_id!r}"
         )
     if policy.kind == "lead":
-        return list(range(min(policy.n, n)))
+        return list(range(min(policy.count, n)))
+    ranked = sorted(range(n), key=lambda i: (-probabilities[i], i))
     if policy.kind == "topk":
-        ranked = sorted(range(n), key=lambda i: (-probabilities[i], i))
-        return sorted(ranked[: policy.k])
+        return sorted(ranked[: policy.count])
+    if limit.unit == "none":
+        return list(range(n))
     # probability-sorted under a budget: greedily take the most probable
     # sentences; the first one to push the running length past the budget is
     # kept, then selection stops
-    ranked = sorted(range(n), key=lambda i: (-probabilities[i], i))
-    if policy.limit.unit == "none":
-        return list(range(n))
     chosen: list[int] = []
     used = 0
     for i in ranked:
         chosen.append(i)
-        used += _sentence_cost(doc.sentences[i], policy.limit.unit)
-        if used > policy.limit.amount:
+        used += _sentence_cost(doc.sentences[i], limit.unit)
+        if used > limit.amount:
             break
     return sorted(chosen)
-
-
-@dataclass
-class DocumentScores:
-    doc_id: str
-    selected: list[int]
-    scores: dict[str, RougeScore]
-
-
-@dataclass
-class CorpusRougeReport:
-    policy: str
-    limit: str
-    flavor: str
-    rouge1: float
-    rouge2: float
-    rougeL: float
-    per_document: list[DocumentScores]
-
-    def value(self, variant: str) -> float:
-        return {"rouge1": self.rouge1, "rouge2": self.rouge2, "rougeL": self.rougeL}[variant]
 
 
 def evaluate_corpus(
@@ -136,11 +101,13 @@ def evaluate_corpus(
     policy: SelectionPolicy,
     limit: LengthLimit,
     flavor: str = "recall",
-) -> CorpusRougeReport:
+) -> dict:
     """Select, assemble in document order, score each document, average.
 
     `scorer` maps a document to per-sentence probabilities; it may be None for
-    the lead policy, which ignores probabilities entirely.
+    the lead policy, which ignores probabilities entirely. Returns the
+    `evaluation_report.json` record: the policy, limit and flavor, the corpus
+    mean of each ROUGE variant, and `per_document` selections and scores.
     """
     if flavor not in ("recall", "f1"):
         raise EvaluationError(f"flavor must be 'recall' or 'f1', got {flavor!r}")
@@ -149,27 +116,19 @@ def evaluate_corpus(
         raise EvaluationError(f"documents without reference summaries: {', '.join(missing)}")
     if not docs:
         raise EvaluationError("empty corpus")
-    if scorer is None and policy.kind != "lead":
-        raise EvaluationError(f"policy {policy} needs a probability scorer")
 
-    per_doc: list[DocumentScores] = []
-    sums = {name: 0.0 for name in ROUGE_VARIANTS}
+    per_doc = []
     for doc in docs:
-        probs = scorer(doc) if policy.kind != "lead" else [0.0] * len(doc.sentences)
-        chosen = select(probs, doc, policy)
-        candidate = [doc.sentences[i] for i in chosen]
-        scores = evaluate_summary(candidate, doc.summary, limit)
-        per_doc.append(DocumentScores(doc.doc_id, chosen, scores))
-        for name in ROUGE_VARIANTS:
-            sums[name] += getattr(scores[name], flavor)
-    n = len(docs)
-    return CorpusRougeReport(
-        policy=str(policy),
-        limit=str(limit),
-        flavor=flavor,
-        rouge1=sums["rouge1"] / n,
-        rouge2=sums["rouge2"] / n,
-        rougeL=sums["rougeL"] / n,
-        per_document=per_doc,
-    )
-
+        chosen = select(scorer(doc) if scorer else None, doc, policy, limit)
+        scores = evaluate_summary([doc.sentences[i] for i in chosen], doc.summary, limit)
+        per_doc.append(
+            {"id": doc.doc_id, "selected_indices": chosen}
+            | {name: asdict(score) for name, score in scores.items()}
+        )
+    return {
+        "policy": policy.describe(limit),
+        "limit": str(limit),
+        "flavor": flavor,
+        **{name: sum(d[name][flavor] for d in per_doc) / len(docs) for name in ROUGE_VARIANTS},
+        "per_document": per_doc,
+    }

@@ -127,24 +127,8 @@ class ModelParams:
     decoder: DecoderParams | None = None
 
 
+# the columns of a factor array: pre-sigmoid terms, novelty the subtracted one
 FACTORS = ("content", "salience", "novelty", "abs_pos", "rel_pos", "bias")
-
-
-@dataclass(frozen=True)
-class SentenceScoreBreakdown:
-    """Pre-sigmoid factor values for one sentence; novelty is the subtracted term."""
-
-    content: float
-    salience: float
-    novelty: float
-    abs_pos: float
-    rel_pos: float
-    bias: float
-    probability: float
-
-    def reassembled(self) -> float:
-        z = self.content + self.salience - self.novelty + self.abs_pos + self.rel_pos + self.bias
-        return float(_sigmoid(np.asarray(z)))
 
 
 @dataclass
@@ -153,7 +137,6 @@ class EncoderState:
 
     sentence_reps: np.ndarray  # (sentences, hidden)
     doc_rep: np.ndarray  # (hidden,)
-    pooled_words: np.ndarray  # (sentences, 2 * hidden): word states averaged per sentence
     sentence_states: np.ndarray  # (sentences, 2 * hidden): concatenated fwd/bwd states
     ids: np.ndarray  # every word id of the document, in order
     lengths: np.ndarray  # words per sentence
@@ -164,7 +147,7 @@ class EncoderState:
 @dataclass
 class ForwardResult:
     probabilities: ad.Node  # vector in (0, 1), one entry per sentence
-    breakdowns: list[SentenceScoreBreakdown]
+    factors: np.ndarray  # (sentences, 6), columns in FACTORS order
     s_last: ad.Node  # running summary state after the final sentence
 
     def probability_values(self) -> list[float]:
@@ -430,9 +413,8 @@ def encode_document(params: ModelParams, sent_ids: list[list[int]]) -> EncoderSt
     cat = np.hstack((sent_fwd.states, sent_bwd.states[::-1]))
     reps = np.tanh(cat @ params.sent_proj_W.value.T + params.sent_proj_b.value)
     doc_rep = np.tanh(params.doc_W.value @ cat.mean(axis=0) + params.doc_b.value)
-    return EncoderState(
-        reps, doc_rep, pooled, cat, ids, lengths, flip, (word_fwd, word_bwd, sent_fwd, sent_bwd)
-    )
+    runs = (word_fwd, word_bwd, sent_fwd, sent_bwd)
+    return EncoderState(reps, doc_rep, cat, ids, lengths, flip, runs)
 
 
 def _encoder_backward(
@@ -463,15 +445,15 @@ def _segments(params: ModelParams, n: int) -> list[int]:
 
 def score_sentences(
     params: ModelParams, sentence_reps: np.ndarray, doc_rep: np.ndarray
-) -> tuple[np.ndarray, list[SentenceScoreBreakdown], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sequential second pass emitting membership probabilities.
 
     The running summary state starts at zero (so the novelty term vanishes at
     the first sentence) and accumulates probability-weighted sentence vectors;
     it is squashed by tanh only inside the novelty term. Returns the
-    probabilities, per-sentence factor breakdowns, and the summary states
-    s_1 .. s_{N+1} (one more row than sentences). Only novelty is recurrent;
-    the other factors are computed for all sentences at once.
+    probabilities, the (sentences, 6) factor array in FACTORS order, and the
+    summary states s_1 .. s_{N+1} (one more row than sentences). Only novelty
+    is recurrent; the other factors are computed for all sentences at once.
     """
     if not len(sentence_reps):
         raise ValueError("score_sentences: no sentence representations")
@@ -487,11 +469,8 @@ def score_sentences(
         novelty[j] = h @ (params.novelty_W.value @ np.tanh(states[j]))
         probs[j] = _sigmoid(content[j] + salience[j] - novelty[j] + abs_pos[j] + rel_pos[j] + bias)
         states[j + 1] = states[j] + h * probs[j]
-    breakdowns = [
-        SentenceScoreBreakdown(*map(float, (c, s, v, a, r, bias, p)))
-        for c, s, v, a, r, p in zip(content, salience, novelty, abs_pos, rel_pos, probs)
-    ]
-    return probs, breakdowns, states
+    factors = np.column_stack((content, salience, novelty, abs_pos, rel_pos, np.full(n, bias)))
+    return probs, factors, states
 
 
 def _score_backward(params: ModelParams, enc: EncoderState, probs, states, d_probs, d_s_last):
@@ -532,7 +511,7 @@ def forward(params: ModelParams, sent_ids: list[list[int]]) -> ForwardResult:
     one backward: scorer, sentence layer, word layer, embedding rows.
     """
     enc = encode_document(params, sent_ids)
-    probs, breakdowns, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
+    probs, factors, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
 
     def backward(d_probs, d_s_last):
         d_reps, d_doc = _score_backward(params, enc, probs, states, d_probs, d_s_last)
@@ -540,7 +519,7 @@ def forward(params: ModelParams, sent_ids: list[list[int]]) -> ForwardResult:
 
     return ForwardResult(
         ad.Node(probs, backward=lambda g: backward(g, np.zeros_like(states[-1]))),
-        breakdowns,
+        factors,
         ad.Node(states[-1], backward=lambda g: backward(np.zeros_like(probs), g)),
     )
 

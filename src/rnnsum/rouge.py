@@ -35,29 +35,22 @@ class LengthLimit:
             raise ValueError(f"{self.unit} limit requires a positive amount")
 
     @classmethod
-    def none(cls) -> "LengthLimit":
-        return cls("none")
-
-    @classmethod
-    def in_bytes(cls, amount: int) -> "LengthLimit":
-        return cls("bytes", amount)
-
-    @classmethod
-    def in_words(cls, amount: int) -> "LengthLimit":
-        return cls("words", amount)
-
-    @classmethod
     def parse(cls, text: str) -> "LengthLimit":
         """Parse "none", "bytes:N", or "words:N" (the CLI flag syntax)."""
         if text == "none":
-            return cls.none()
-        kind, sep, amount = text.partition(":")
-        if sep and kind in ("bytes", "words"):
+            return cls("none")
+        kind, _, amount = text.partition(":")
+        if kind in ("bytes", "words") and is_integer(amount):
             return cls(kind, int(amount))
         raise ValueError(f"cannot parse length limit {text!r}")
 
     def __str__(self) -> str:
         return self.unit if self.unit == "none" else f"{self.unit}:{self.amount}"
+
+
+def is_integer(text: str) -> bool:
+    """True for a decimal integer with an optional minus sign, e.g. "75" or "-1"."""
+    return text.removeprefix("-").isdecimal()
 
 
 def flatten(sentences: Sentences) -> list[str]:

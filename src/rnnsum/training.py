@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.clip_norm <= 0:

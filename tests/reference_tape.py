@@ -6,6 +6,7 @@ of them, one graph node per scalar factor and per gate. It runs on the same
 parameters as `rnnsum.model`, so `test_layers_match_the_reference_tape` in
 `tests/test_training.py` can compare the layer-level probabilities, losses and
 parameter gradients against it. `tests/test_autodiff.py` tests the ops.
+`reassembled` recomputes probabilities from the serving forward's factors.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def matmul(a: Node, b: Node) -> Node:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def reassembled(factors: np.ndarray) -> np.ndarray:
+    """sigma(content + salience - novelty + abs_pos + rel_pos + bias) for each
+    row of a factor array in `rnnsum.model.FACTORS` order."""
+    content, salience, novelty, abs_pos, rel_pos, bias = factors.T
+    return _stable_sigmoid(content + salience - novelty + abs_pos + rel_pos + bias)
 
 
 def sigmoid(x: Node) -> Node:

@@ -14,7 +14,7 @@ from rnnsum import autodiff as ad
 from rnnsum.cli import main as cli_main
 from rnnsum.corpus import Document, build_vocab, encode, write_corpus
 from rnnsum.evaluation import SelectionPolicy, evaluate_corpus, select
-from rnnsum.model import ModelConfig, forward, init_params
+from rnnsum.model import FACTORS, ModelConfig, forward, init_params
 from rnnsum.oracle import OracleConfig, greedy_trace, label_corpus
 from rnnsum.rouge import LengthLimit, rouge_l, rouge_n
 from rnnsum.synthetic import synthetic_corpus
@@ -231,7 +231,7 @@ def test_criterion_4_overfit_extractive(overfit_corpus, tmp_path):
     for doc in overfit_corpus:
         probs = forward(params, encode(doc, vocab)).probability_values()
         k = sum(doc.labels)
-        chosen = select(probs, doc, SelectionPolicy.top_k(k))
+        chosen = select(probs, doc, SelectionPolicy("topk", k), LengthLimit("none"))
         positives = {i for i, y in enumerate(doc.labels) if y}
         recovered += len(positives & set(chosen))
         total_pos += len(positives)
@@ -293,8 +293,9 @@ def test_criterion_5_overfit_abstractive(overfit_corpus, tmp_path):
 
 
 def test_criterion_6_structural_invariants():
-    from rnnsum.model import score_sentences
-    from rnnsum.model import encode_document
+    from reference_tape import reassembled
+
+    from rnnsum.model import encode_document, score_sentences
 
     checks = []
 
@@ -308,9 +309,8 @@ def test_criterion_6_structural_invariants():
         params = init_params(cfg, store, np.random.default_rng(seed))
         _generic_point(store, seed=seed + 700, scale=0.6)
         enc = encode_document(params, [[0, 1], [2, 3], [4, 5], [6, 7]])
-        probs, breakdowns, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
-        for b, p in zip(breakdowns, probs):
-            assert abs(b.reassembled() - p) < 1e-12
+        probs, factors, states = score_sentences(params, enc.sentence_reps, enc.doc_rep)
+        assert np.abs(reassembled(factors) - probs).max() < 1e-12
         for j, (p, h) in enumerate(zip(probs, enc.sentence_reps)):
             step = states[j + 1] - states[j]
             assert np.abs(step - p * h).max() < 1e-12
@@ -326,7 +326,7 @@ def test_criterion_6_structural_invariants():
         params = init_params(cfg, store, np.random.default_rng(seed))
         _generic_point(store, seed=seed + 9000, scale=1.0)
         result = forward(params, [[0, 1], [2, 3]])
-        assert result.breakdowns[0].novelty == 0.0
+        assert result.factors[0, FACTORS.index("novelty")] == 0.0
     checks.append("novelty@j=1 == 0 x100")
 
     # zero parameters emit probability exactly 0.5
@@ -542,12 +542,12 @@ def test_criterion_8_protocol_plumbing():
     mismatches = []
     for limit_text, flavor in PROTOCOLS:
         got = evaluate_corpus(
-            None, docs, SelectionPolicy.lead(3), LengthLimit.parse(limit_text), flavor
+            None, docs, SelectionPolicy("lead", 3), LengthLimit.parse(limit_text), flavor
         )
         for variant in ("rouge1", "rouge2", "rougeL"):
             want = expected_mean(PROTOCOL_COUNTS[limit_text], variant, flavor)
-            if got.value(variant) != want:
-                mismatches.append((limit_text, flavor, variant, got.value(variant), want))
+            if got[variant] != want:
+                mismatches.append((limit_text, flavor, variant, got[variant], want))
     report(
         8, "protocol plumbing", not mismatches,
         f"{len(PROTOCOLS)} protocols x 3 variants exact" if not mismatches else str(mismatches),

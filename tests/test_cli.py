@@ -48,6 +48,22 @@ def zero_checkpoint(tmp_path, vocab_tokens=("a", "b", "c", "d"), **cfg_overrides
     return path
 
 
+def random_checkpoint(tmp_path):
+    """A checkpoint over tokens a-d with nonzero parameters, so probabilities differ."""
+    cfg = ModelConfig(
+        vocab_size=8, embedding_dim=3, hidden_dim=4, position_embedding_dim=2,
+        max_abs_positions=8, num_rel_segments=2,
+    )
+    store = ad.ParameterStore()
+    init_params(cfg, store, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for _, node in store.items():
+        node.value[...] = rng.uniform(-0.5, 0.5, size=node.value.shape)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, store, cfg, Vocabulary(["a", "b", "c", "d"]))
+    return path
+
+
 # run config ---------------------------------------------------------------------
 
 
@@ -206,6 +222,18 @@ def test_train_error_in_the_validation_corpus_names_that_file(tmp_path, capsys):
     assert f"error: {valid}: line 2: invalid JSON" in capsys.readouterr().err
 
 
+def test_train_rejects_zero_epochs(tmp_path, capsys):
+    corpus = labeled_corpus_file(tmp_path)
+    out = tmp_path / "r"
+    assert (
+        run("train", "--train", corpus, "--valid", corpus, "--out", out, "--max-epochs", 0)
+        == 1
+    )
+    assert "error: max_epochs must be >= 1" in capsys.readouterr().err
+    assert not list(out.glob("checkpoint_*.json"))
+    assert not (out / "training_report.json").exists()
+
+
 # summarize -------------------------------------------------------------------------
 
 
@@ -288,6 +316,19 @@ def test_evaluate_requires_model_or_baseline(tmp_path):
     assert run("evaluate", "--input", corpus, "--out", tmp_path / "e") == 1
 
 
+def test_evaluate_lead_policy_reads_no_checkpoint(tmp_path):
+    corpus = perfect_lead_file(tmp_path)
+    out = tmp_path / "eval"
+    assert (
+        run(
+            "evaluate", "--checkpoint", tmp_path / "missing.json", "--policy", "lead:3",
+            "--input", corpus, "--out", out,
+        )
+        == 0
+    )
+    assert json.loads((out / "evaluation_report.json").read_text())["rouge1"] == 1.0
+
+
 def test_evaluate_with_zero_checkpoint_verbose(tmp_path):
     ckpt = zero_checkpoint(tmp_path)
     corpus = write_docs(
@@ -327,18 +368,7 @@ def test_inspect_zero_params(tmp_path):
 
 
 def test_inspect_reassembles_probability(tmp_path):
-    # trained-ish checkpoint: random nonzero parameters
-    cfg = ModelConfig(
-        vocab_size=8, embedding_dim=3, hidden_dim=4, position_embedding_dim=2,
-        max_abs_positions=8, num_rel_segments=2,
-    )
-    store = ad.ParameterStore()
-    init_params(cfg, store, np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    for _, node in store.items():
-        node.value[...] = rng.uniform(-0.5, 0.5, size=node.value.shape)
-    ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(ckpt, store, cfg, Vocabulary(["a", "b", "c", "d"]))
+    ckpt = random_checkpoint(tmp_path)
     corpus = write_docs(
         tmp_path / "c.jsonl", [Document("d", [["a", "b"], ["c", "d"], ["b"]])]
     )
@@ -393,3 +423,35 @@ def test_summarize_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     )
     assert "'score.w_content' has a non-finite value" in capsys.readouterr().err
     assert not (out / "summaries.jsonl").exists()
+
+
+# one serving path -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["prob", "topk:2", "lead:2"])
+@pytest.mark.parametrize("limit", ["none", "bytes:9", "words:4"])
+def test_summarize_evaluate_and_inspect_agree(tmp_path, policy, limit):
+    ckpt = random_checkpoint(tmp_path)
+    docs = [
+        Document("x", [["a", "b", "c"], ["d"], ["b", "a"], ["c", "c", "d"]], summary=[["a", "d"]]),
+        Document("y", [["d", "d"], ["a", "b", "c", "d"], ["c"]], summary=[["b", "c"]]),
+    ]
+    corpus = write_docs(tmp_path / "c.jsonl", docs)
+    flags = ["--checkpoint", ckpt, "--input", corpus, "--policy", policy, "--limit", limit]
+    assert run("summarize", *flags, "--out", tmp_path / "s") == 0
+    assert run("evaluate", *flags, "--out", tmp_path / "e", "--verbose") == 0
+    lines = (tmp_path / "s/summaries.jsonl").read_text().splitlines()
+    summaries = [json.loads(line) for line in lines]
+    report = json.loads((tmp_path / "e/evaluation_report.json").read_text())
+    assert [d["id"] for d in report["per_document"]] == [s["id"] for s in summaries] == ["x", "y"]
+    for summary, scored in zip(summaries, report["per_document"]):
+        assert scored["selected_indices"] == summary["selected_indices"]
+        out = tmp_path / f"i-{summary['id']}"
+        inspect = ["inspect", "--checkpoint", ckpt, "--input", corpus, "--id", summary["id"]]
+        assert run(*inspect, "--out", out) == 0
+        rows = json.loads((out / "inspect.json").read_text())["sentences"]
+        probabilities = [row["probability"] for row in rows]
+        if policy == "lead:2":
+            assert summary["probabilities"] is None
+        else:
+            assert probabilities == summary["probabilities"]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from reference_tape import reassembled
 
 from rnnsum import autodiff as ad
 from rnnsum.corpus import Vocabulary
 from rnnsum.model import (
+    FACTORS,
     CheckpointError,
     ModelConfig,
     encode_document,
@@ -19,6 +21,8 @@ from rnnsum.model import (
     wire_params,
 )
 from rnnsum.training import extractive_loss
+
+NOVELTY = FACTORS.index("novelty")
 
 
 def toy_config(**overrides):
@@ -167,7 +171,9 @@ def test_pooled_vectors_depend_only_on_own_sentence():
     a, b, c = [1, 2], [3, 4, 5], [6, 7]
     enc = encode_document(params, [a, b, c])
     enc_rev = encode_document(params, [c, b, a])
-    np.testing.assert_allclose(enc.pooled_words, enc_rev.pooled_words[::-1], atol=1e-12)
+    # the sentence layer's inputs are the word states averaged per sentence
+    pooled, pooled_rev = enc.runs[2].inputs, enc_rev.runs[2].inputs
+    np.testing.assert_allclose(pooled, pooled_rev[::-1], atol=1e-12)
 
 
 def test_doc_rep_order_invariant_when_sentence_rnn_is_zero():
@@ -190,10 +196,8 @@ def test_zero_params_probability_half_and_zero_factors():
     result = forward(params, [[0, 1], [2, 3], [4, 5]])
     for p in result.probability_values():
         assert p == 0.5
-    for b in result.breakdowns:
-        assert (b.content, b.salience, b.novelty, b.abs_pos, b.rel_pos, b.bias) == (
-            0.0,
-        ) * 6
+    assert result.factors.shape == (3, len(FACTORS))
+    assert (result.factors == 0.0).all()
 
 
 def test_novelty_always_zero_at_first_sentence():
@@ -201,7 +205,7 @@ def test_novelty_always_zero_at_first_sentence():
         cfg = toy_config()
         _, params = make_params(cfg, seed=seed)
         result = forward(params, [[1, 2], [3, 4]])
-        assert result.breakdowns[0].novelty == 0.0
+        assert result.factors[0, NOVELTY] == 0.0
 
 
 def test_one_dim_worked_example():
@@ -210,9 +214,9 @@ def test_one_dim_worked_example():
     store, params = make_params(cfg, zero=True)
     store["score.w_content"].value[...] = 1.0
     store["score.W_novelty"].value[...] = 1.0
-    probs, breakdowns, _ = score_sentences(params, np.array([[1.0], [1.0]]), np.array([0.0]))
+    probs, factors, _ = score_sentences(params, np.array([[1.0], [1.0]]), np.array([0.0]))
     assert probs[0] == pytest.approx(0.7310585786300049, abs=1e-12)
-    assert breakdowns[1].novelty == pytest.approx(0.6237125498258757, abs=1e-12)
+    assert factors[1, NOVELTY] == pytest.approx(0.6237125498258757, abs=1e-12)
     assert probs[1] == pytest.approx(0.5929773699169132, abs=1e-12)
 
 
@@ -220,9 +224,9 @@ def test_breakdown_identity_sigma_of_sum():
     cfg = toy_config()
     _, params = make_params(cfg, seed=11)
     result = forward(params, [[1, 2, 3], [4, 5], [6, 7], [0, 1]])
-    for b, p in zip(result.breakdowns, result.probability_values()):
-        assert abs(b.reassembled() - p) < 1e-12
-        assert b.probability == p
+    assert result.factors.shape == (4, len(FACTORS))
+    probs = result.probabilities.value
+    assert np.abs(reassembled(result.factors) - probs).max() < 1e-12
 
 
 def test_summary_state_recurrence():

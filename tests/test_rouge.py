@@ -39,34 +39,35 @@ def brute_lcs(a, b):
 
 
 def test_truncate_words_prefix():
-    assert truncate([["the", "cat"]], LengthLimit.in_words(1)) == ["the"]
+    assert truncate([["the", "cat"]], LengthLimit("words", 1)) == ["the"]
 
 
 def test_truncate_bytes_exact_fit():
-    assert truncate([["abc", "de"]], LengthLimit.in_bytes(6)) == ["abc", "de"]
+    assert truncate([["abc", "de"]], LengthLimit("bytes", 6)) == ["abc", "de"]
 
 
 def test_truncate_bytes_cuts_last_whole_token():
-    assert truncate([["abc", "de"]], LengthLimit.in_bytes(5)) == ["abc"]
+    assert truncate([["abc", "de"]], LengthLimit("bytes", 5)) == ["abc"]
 
 
 def test_truncate_none_flattens():
-    assert truncate([["a", "b"], ["c"]], LengthLimit.none()) == ["a", "b", "c"]
+    assert truncate([["a", "b"], ["c"]], LengthLimit("none")) == ["a", "b", "c"]
 
 
 def test_truncate_bytes_counts_utf8():
     # "é" is 2 bytes in UTF-8, so "é é" spends 5 bytes
-    assert truncate([["é", "é"]], LengthLimit.in_bytes(4)) == ["é"]
-    assert truncate([["é", "é"]], LengthLimit.in_bytes(5)) == ["é", "é"]
+    assert truncate([["é", "é"]], LengthLimit("bytes", 4)) == ["é"]
+    assert truncate([["é", "é"]], LengthLimit("bytes", 5)) == ["é", "é"]
 
 
 def test_limit_parse_roundtrip():
     for text in ("none", "bytes:75", "words:275"):
         assert str(LengthLimit.parse(text)) == text
+    for bad in ("chars:10", "bytes:x", "bytes:", "words:x", "words:", "bytes"):
+        with pytest.raises(ValueError, match=f"cannot parse length limit '{bad}'"):
+            LengthLimit.parse(bad)
     with pytest.raises(ValueError):
-        LengthLimit.parse("chars:10")
-    with pytest.raises(ValueError):
-        LengthLimit.in_bytes(0)
+        LengthLimit("bytes", 0)
 
 
 # rouge-n ---------------------------------------------------------------------
@@ -119,26 +120,26 @@ def test_rouge_l_disjoint():
 
 def test_evaluate_identity_all_ones():
     sents = [["a", "b"], ["c", "d"]]
-    scores = evaluate_summary(sents, sents, LengthLimit.none())
+    scores = evaluate_summary(sents, sents, LengthLimit("none"))
     for name in ("rouge1", "rouge2", "rougeL"):
         assert scores[name].f1 == 1.0
 
 
 def test_evaluate_empty_candidate_all_zeros():
-    scores = evaluate_summary([], [["a", "b"]], LengthLimit.none())
+    scores = evaluate_summary([], [["a", "b"]], LengthLimit("none"))
     for name in ("rouge1", "rouge2", "rougeL"):
         assert scores[name].f1 == 0.0
 
 
 def test_evaluate_empty_reference_rejected():
     with pytest.raises(ValueError):
-        evaluate_summary([["a"]], [], LengthLimit.none())
+        evaluate_summary([["a"]], [], LengthLimit("none"))
 
 
 def test_evaluate_composes_truncation():
     # truncated candidate ["the","cat"] vs REF: unigram match 2 -> N.B. exact
     # fractions: recall 2/6, precision 2/2
-    scores = evaluate_summary([["the", "cat", "zzz"]], [REF], LengthLimit.in_words(2))
+    scores = evaluate_summary([["the", "cat", "zzz"]], [REF], LengthLimit("words", 2))
     assert scores["rouge1"].recall == pytest.approx(float(Fraction(2, 6)))
     assert scores["rouge1"].precision == pytest.approx(1.0)
 
