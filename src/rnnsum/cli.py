@@ -222,8 +222,8 @@ def cmd_make_labels(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    train_cfg = config.train_config()
+    out_dir = Path(args.out)  # `train` creates it once the corpora are checked
     corpus_cfg = config.corpus_config()
     train_docs, _ = load_corpus(args.train, corpus_cfg)
     valid_docs, _ = load_corpus(args.valid, corpus_cfg)
@@ -241,7 +241,7 @@ def cmd_train(args) -> int:
 
     store = ad.ParameterStore()
     params = init_params(model_cfg, store, np.random.default_rng([config.seed, 0]), embedding)
-    report = train(store, params, vocab, train_docs, valid_docs, config.train_config(), out_dir)
+    report = train(store, params, vocab, train_docs, valid_docs, train_cfg, out_dir)
     write_run_config(out_dir / RUN_CONFIG_NAME, config)
     last = report.epochs[-1]
     print(
@@ -282,10 +282,10 @@ def cmd_summarize(args) -> int:
     config = resolve_config(args)
     limit = config.length_limit()
     policy = SelectionPolicy.parse(config.policy)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     docs, run = _docs_and_scorer(args, config, policy)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "summaries.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
         for doc in docs:
@@ -306,9 +306,6 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     config = resolve_config(args)
     limit = config.length_limit()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.baseline and args.checkpoint:
         raise CliError("pass either --checkpoint or --baseline, not both")
     if not (args.baseline or args.checkpoint):
@@ -321,6 +318,8 @@ def cmd_evaluate(args) -> int:
     report = evaluate_corpus(scorer, docs, policy, limit, config.flavor)
     if not args.verbose:
         del report["per_document"]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(out_dir / "evaluation_report.json", report)
     write_run_config(out_dir / RUN_CONFIG_NAME, config)
 

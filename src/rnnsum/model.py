@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -528,30 +529,51 @@ def forward(params: ModelParams, sent_ids: list[list[int]]) -> ForwardResult:
 # checkpoints
 
 
+def _write_v1(fh, store: ad.ParameterStore, config: ModelConfig, vocab: Vocabulary) -> None:
+    """Write the version-1 document to a binary file: one JSON object with
+    keys `config`, `format`, `params`, `version` and `vocab`, keys sorted at
+    every level, no spaces, and a final newline.
+
+    Each part goes through `json.dumps`, which uses the C encoder, and one
+    tensor is encoded at a time, so the whole file is never held in memory.
+    """
+
+    def dumps(obj) -> bytes:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+    fh.write(b'{"config":' + dumps(asdict(config)))
+    fh.write(b',"format":' + dumps(CHECKPOINT_FORMAT) + b',"params":{')
+    for i, (name, node) in enumerate(sorted(store.items())):
+        entry = {"data": node.value.reshape(-1).tolist(), "shape": list(node.value.shape)}
+        fh.write((b"," if i else b"") + dumps(name) + b":")
+        fh.write(dumps(entry))
+    fh.write(b'},"version":' + dumps(CHECKPOINT_VERSION))
+    fh.write(b',"vocab":' + dumps(vocab.non_reserved()) + b"}\n")
+
+
 def save_checkpoint(
-    path: str | Path, store: ad.ParameterStore, config: ModelConfig, vocab: Vocabulary
+    path: str | Path,
+    store: ad.ParameterStore,
+    config: ModelConfig,
+    vocab: Vocabulary,
+    copy_of: str | Path | None = None,
 ) -> None:
     """Write config, vocabulary, and all named parameters as one JSON file.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over `path`, so a failed write leaves the previous file.
+    `copy_of` names a checkpoint already written from this same store, config
+    and vocabulary; its bytes are copied instead of encoded again. The file is
+    written under a temporary name in the same directory and then renamed
+    over `path`, so a failed write leaves the previous file.
     """
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(config),
-        "vocab": vocab.non_reserved(),
-        "params": {
-            name: {"shape": list(node.value.shape), "data": node.value.reshape(-1).tolist()}
-            for name, node in store.items()
-        },
-    }
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            if copy_of is None:
+                _write_v1(fh, store, config, vocab)
+            else:
+                with open(copy_of, "rb") as src:
+                    shutil.copyfileobj(src, fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -355,7 +355,9 @@ def train(
         if stale >= config.patience:
             break
 
-    save_checkpoint(final_path, store, params.config, vocab)
+    # An unchanged best checkpoint is copied rather than encoded again.
+    copy_of = best_path if best_epoch == stopped else None
+    save_checkpoint(final_path, store, params.config, vocab, copy_of=copy_of)
 
     report = TrainReport(
         mode=config.mode,

@@ -234,6 +234,19 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     assert not (out / "training_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "summarize", "evaluate"])
+def test_a_failing_command_leaves_no_out_directory(tmp_path, command):
+    corpus = labeled_corpus_file(tmp_path)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["--train", corpus, "--valid", corpus, "--max-epochs", 0],
+        "summarize": ["--input", corpus, "--policy", "topk:1"],
+        "evaluate": ["--input", corpus, "--checkpoint", tmp_path / "missing.json"],
+    }[command]
+    assert run(command, *argv, "--out", out) == 1
+    assert not out.exists()
+
+
 # summarize -------------------------------------------------------------------------
 
 

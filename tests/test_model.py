@@ -1,3 +1,7 @@
+import dataclasses
+import errno
+import json
+
 import numpy as np
 import pytest
 from reference_tape import reassembled
@@ -310,7 +314,42 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+def fill_disk_after(monkeypatch, budget):
+    """Make files that rnnsum.model opens for writing take `budget` bytes, then
+    fail as a full disk does: a short write followed by ENOSPC."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.left = fh, budget
+
+        def write(self, data):
+            if len(data) > self.left:
+                self.fh.write(data[: self.left])
+                self.left = 0
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.left -= len(data)
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("rnnsum.model.open", fake_open, raising=False)
+
+
+def write_fails_part_way(tmp_path, monkeypatch, copy):
+    """A rewrite of a checkpoint hits a full disk part-way through its tensors;
+    the previous file must survive whole, with no temporary file left."""
     cfg = toy_config()
     store, _ = make_params(cfg, seed=31)
     vocab = Vocabulary(["a", "b", "c", "d"])
@@ -318,24 +357,55 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     save_checkpoint(path, store, cfg, vocab)
     before = path.read_bytes()
 
-    def dump_then_fail(payload, fh, **kwargs):
-        fh.write('{"config":')
-        raise OSError("no space left on device")
-
-    monkeypatch.setattr("rnnsum.model.json.dump", dump_then_fail)
     for _, node in store.items():
         node.value += 1.0
-    with pytest.raises(OSError):
-        save_checkpoint(path, store, cfg, vocab)
+    source = tmp_path / "source.json"
+    if copy:
+        save_checkpoint(source, store, cfg, vocab)
+    budget = len(before) // 2
+    assert before.index(b'"params":{') < budget
+    fill_disk_after(monkeypatch, budget)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, store, cfg, vocab, copy_of=source if copy else None)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"] + (
+        ["source.json"] if copy else []
+    )
     load_checkpoint(path)
 
 
-def test_checkpoint_version_mismatch_fails_loudly(tmp_path):
-    import json
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    write_fails_part_way(tmp_path, monkeypatch, copy=False)
 
+
+def test_checkpoint_failed_copy_keeps_previous_file(tmp_path, monkeypatch):
+    write_fails_part_way(tmp_path, monkeypatch, copy=True)
+
+
+def test_checkpoint_bytes_are_the_v1_json_document(tmp_path):
+    cfg = toy_config(decoder_enabled=True)
+    store, _ = make_params(cfg, seed=41)
+    names = [name for name, _ in store.items()]
+    assert names != sorted(names)  # the file orders tensors by name, not by insertion
+    vocab = Vocabulary(["b", "a", "é", 'q"'])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, store, cfg, vocab)
+    payload = {
+        "format": "rnnsum-checkpoint",
+        "version": 1,
+        "config": dataclasses.asdict(cfg),
+        "vocab": ["b", "a", "é", 'q"'],
+        "params": {
+            name: {"shape": list(node.value.shape), "data": node.value.reshape(-1).tolist()}
+            for name, node in store.items()
+        },
+    }
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_checkpoint_version_mismatch_fails_loudly(tmp_path):
     cfg = toy_config()
     store, _ = make_params(cfg, seed=31)
     vocab = Vocabulary(["a", "b", "c", "d"])

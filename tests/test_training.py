@@ -9,7 +9,7 @@ import reference_tape as tape
 
 from rnnsum import autodiff as ad
 from rnnsum.corpus import Document, Vocabulary
-from rnnsum.model import ModelConfig, forward, init_params
+from rnnsum.model import ModelConfig, forward, init_params, load_checkpoint
 from rnnsum.training import (
     TrainConfig,
     TrainingError,
@@ -325,6 +325,43 @@ def test_train_patience_window_spans_epochs(tmp_path, monkeypatch):
     report = train(store, params, vocab, docs, docs, config, tmp_path)
     assert report.stopped_epoch == 4
     assert report.best_epoch == 2
+
+
+@pytest.mark.parametrize(
+    "losses, best, best_saves",
+    [([2.0, 1.0], 2, 2), ([1.0, 2.0], 1, 1)],
+    ids=["last-epoch-best", "last-epoch-worse"],
+)
+def test_train_final_checkpoint(tmp_path, monkeypatch, losses, best, best_saves):
+    # one save per improving epoch, then the final one
+    import rnnsum.training as training_mod
+
+    cfg = toy_config()
+    store, params = make_params(cfg, seed=1)
+    vocab = toy_vocab(cfg)
+    fake_losses = iter(losses)
+    monkeypatch.setattr(
+        training_mod, "_validation_loss", lambda params_, ex_, mode_: next(fake_losses)
+    )
+    calls = []
+    real_save = training_mod.save_checkpoint
+
+    def save(path, *args, **kwargs):
+        calls.append(path.name)
+        real_save(path, *args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "save_checkpoint", save)
+    config = TrainConfig(mode="extractive", batch_size=6, max_epochs=2, patience=2, seed=5)
+    report = train(store, params, vocab, tiny_corpus(), tiny_corpus(), config, tmp_path)
+    assert (report.best_epoch, report.stopped_epoch) == (best, 2)
+    assert calls == ["checkpoint_best.json"] * best_saves + ["checkpoint_final.json"]
+
+    best_bytes = (tmp_path / "checkpoint_best.json").read_bytes()
+    final_bytes = (tmp_path / "checkpoint_final.json").read_bytes()
+    assert (final_bytes == best_bytes) is (best == 2)
+    final_store, _, _, _ = load_checkpoint(tmp_path / "checkpoint_final.json")
+    for name, node in store.items():
+        np.testing.assert_array_equal(final_store[name].value, node.value)
 
 
 def test_train_determinism_same_seed(tmp_path):
