@@ -5,9 +5,10 @@ decoder) compute in plain numpy and each has one hand-written backward. A
 layer's output enters the tape as one `Node` whose backward rule adds the
 layer's parameter gradients straight into the parameters' `grad` arrays and
 passes the rest on to its parent nodes, so one document's loss is a tape of
-two or three nodes. Parameters are long-lived leaf nodes held in a
-ParameterStore together with the two per-parameter accumulators the adadelta
-optimizer needs. `grad_check` is the finite-difference oracle for all of it.
+two nodes in either training mode. Parameters are long-lived leaf nodes held
+in a ParameterStore together with the two per-parameter accumulators the
+adadelta optimizer needs. `grad_check` is the finite-difference oracle for all
+of it.
 """
 
 from __future__ import annotations

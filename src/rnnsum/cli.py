@@ -81,47 +81,11 @@ class RunConfig:
     limit: str = "none"
     flavor: str = "f1"
 
-    def corpus_config(self) -> CorpusConfig:
-        return CorpusConfig(
-            max_sentences=self.max_sentences,
-            max_words_per_sentence=self.max_words_per_sentence,
-            vocab_cap=self.vocab_cap,
-            embedding_dim=self.embedding_dim,
-        )
-
-    def model_config(self, vocab_size: int, decoder: bool) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            embedding_dim=self.embedding_dim,
-            hidden_dim=self.hidden_dim,
-            position_embedding_dim=self.position_embedding_dim,
-            max_abs_positions=self.max_sentences,
-            num_rel_segments=self.num_rel_segments,
-            decoder_enabled=decoder,
-            decoder_hidden_dim=self.decoder_hidden_dim or None,
-            decoder_ff_dim=self.decoder_ff_dim or None,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            mode=self.mode,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            clip_norm=self.clip_norm,
-            adadelta_rho=self.adadelta_rho,
-            adadelta_eps=self.adadelta_eps,
-            seed=self.seed,
-        )
-
-    def oracle_config(self) -> OracleConfig:
-        return OracleConfig(
-            metric=self.oracle_metric,
-            max_selected=self.oracle_max_selected or None,
-        )
-
-    def length_limit(self) -> LengthLimit:
-        return LengthLimit.parse(self.limit)
+    def build(self, cls, **explicit):
+        """A `cls` from this config's fields of the same name, then `explicit`."""
+        names = {f.name for f in dataclasses.fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in names}
+        return cls(**{**shared, **explicit})
 
     def to_text(self) -> str:
         lines = [
@@ -129,14 +93,6 @@ class RunConfig:
             for f in sorted(dataclasses.fields(self), key=lambda f: f.name)
         ]
         return "\n".join(lines) + "\n"
-
-
-def _coerce(field: dataclasses.Field, raw: str):
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    return raw
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -155,32 +111,17 @@ def load_run_config(path: str | Path) -> RunConfig:
             if key not in fields:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _coerce(fields[key], raw)
+                values[key] = type(fields[key].default)(raw)
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(**values)
 
 
 def resolve_config(args) -> RunConfig:
+    """Defaults < config file < every flag whose dest names a RunConfig field."""
     config = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for name in (
-        "seed",
-        "mode",
-        "policy",
-        "limit",
-        "flavor",
-        "batch_size",
-        "max_epochs",
-        "patience",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            config = dataclasses.replace(config, **{name: value})
-    if getattr(args, "metric", None) is not None and args.command == "make-labels":
-        config = dataclasses.replace(config, oracle_metric=args.metric)
-    if getattr(args, "max_selected", None) is not None:
-        config = dataclasses.replace(config, oracle_max_selected=args.max_selected)
-    return config
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def write_run_config(path: Path, config: RunConfig) -> None:
@@ -199,10 +140,13 @@ def _dump_json(path: Path, payload) -> None:
 
 def cmd_make_labels(args) -> int:
     config = resolve_config(args)
-    docs, skipped = load_corpus(args.input, config.corpus_config())
+    docs, skipped = load_corpus(args.input, config.build(CorpusConfig))
     if any(d.labels is not None for d in docs) and not args.overwrite:
         raise CliError("input already carries labels; pass --overwrite to relabel")
-    labeled, stats = label_corpus(docs, config.oracle_config())
+    labeled, stats = label_corpus(
+        docs,
+        OracleConfig(metric=config.oracle_metric, max_selected=config.oracle_max_selected or None),
+    )
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_corpus(labeled, out)
@@ -222,20 +166,27 @@ def cmd_make_labels(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    train_cfg = config.train_config()
+    train_cfg = config.build(TrainConfig)
     out_dir = Path(args.out)  # `train` creates it once the corpora are checked
-    corpus_cfg = config.corpus_config()
+    corpus_cfg = config.build(CorpusConfig)
     train_docs, _ = load_corpus(args.train, corpus_cfg)
     valid_docs, _ = load_corpus(args.valid, corpus_cfg)
     if not train_docs:
         raise CliError("training corpus is empty")
-    vocab = build_vocab(train_docs, corpus_cfg.vocab_cap)
-    model_cfg = config.model_config(len(vocab), decoder=config.mode == "abstractive")
+    vocab = build_vocab(train_docs, config.vocab_cap)
+    model_cfg = config.build(
+        ModelConfig,
+        vocab_size=len(vocab),
+        max_abs_positions=config.max_sentences,
+        decoder_enabled=config.mode == "abstractive",
+        decoder_hidden_dim=config.decoder_hidden_dim or None,
+        decoder_ff_dim=config.decoder_ff_dim or None,
+    )
 
     embedding = None
     if args.embeddings:
         embedding, covered = load_word_vectors(
-            args.embeddings, vocab, corpus_cfg.embedding_dim, np.random.default_rng([config.seed, 2])
+            args.embeddings, vocab, model_cfg.embedding_dim, np.random.default_rng([config.seed, 2])
         )
         print(f"loaded vectors for {covered}/{len(vocab) - 4} vocabulary tokens")
 
@@ -264,11 +215,12 @@ def _docs_and_scorer(
 
     Under a model the corpus is clipped to the model's position table.
     """
-    corpus_cfg = config.corpus_config()
+    corpus_cfg = config.build(CorpusConfig)
     if policy.kind == "lead":
         return load_corpus(args.input, corpus_cfg)[0], None
     if not args.checkpoint:
-        raise CliError(f"policy {policy.describe(config.length_limit())} requires --checkpoint")
+        limit = LengthLimit.parse(config.limit)
+        raise CliError(f"policy {policy.describe(limit)} requires --checkpoint")
     try:
         _, params, model_cfg, vocab = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
@@ -280,7 +232,7 @@ def _docs_and_scorer(
 
 def cmd_summarize(args) -> int:
     config = resolve_config(args)
-    limit = config.length_limit()
+    limit = LengthLimit.parse(config.limit)
     policy = SelectionPolicy.parse(config.policy)
     docs, run = _docs_and_scorer(args, config, policy)
 
@@ -305,7 +257,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = resolve_config(args)
-    limit = config.length_limit()
+    limit = LengthLimit.parse(config.limit)
     if args.baseline and args.checkpoint:
         raise CliError("pass either --checkpoint or --baseline, not both")
     if not (args.baseline or args.checkpoint):
@@ -390,8 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--metric", choices=ORACLE_METRICS, help="oracle selection metric")
-    p.add_argument("--max-selected", type=int, dest="max_selected")
+    p.add_argument(
+        "--metric", choices=ORACLE_METRICS, dest="oracle_metric", help="oracle selection metric"
+    )
+    p.add_argument(
+        "--max-selected", type=int, dest="oracle_max_selected", metavar="MAX_SELECTED"
+    )
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=cmd_make_labels)
 

@@ -30,11 +30,9 @@ class CorpusError(ValueError):
 class CorpusConfig:
     max_sentences: int = 100
     max_words_per_sentence: int = 50
-    vocab_cap: int = 150_000
-    embedding_dim: int = 100
 
     def __post_init__(self):
-        for name in ("max_sentences", "max_words_per_sentence", "vocab_cap", "embedding_dim"):
+        for name in ("max_sentences", "max_words_per_sentence"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -184,6 +182,8 @@ def build_vocab(docs: list[Document], cap: int) -> Vocabulary:
     Counts cover document sentences and reference summaries, so decoder
     targets are representable when the corpus carries summaries.
     """
+    if cap <= 0:
+        raise ValueError("vocab_cap must be positive")
     if not docs:
         raise ValueError("build_vocab: empty corpus")
     counts: Counter = Counter()

@@ -58,6 +58,9 @@ class ModelConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("decoder_hidden_dim", "decoder_ff_dim"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def dec_hidden(self) -> int:
@@ -585,8 +588,13 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ad.ParameterStore, ModelParams, ModelConfig, Vocabulary]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # malformed JSON or UTF-8: a truncated or corrupt file
+        raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -596,9 +604,12 @@ def load_checkpoint(
         )
     try:
         config = ModelConfig(**payload["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config block ({exc})") from exc
-    vocab = Vocabulary(payload["vocab"])
+    try:
+        vocab = Vocabulary(payload["vocab"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad vocabulary ({exc})") from exc
     if len(vocab) != config.vocab_size:
         raise CheckpointError(
             f"{path}: vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
@@ -612,7 +623,13 @@ def load_checkpoint(
     store = ad.ParameterStore()
     for name in expected:
         entry = stored[name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        data = entry.get("data") if isinstance(entry, dict) else None
+        if not isinstance(data, list) or "shape" not in entry:
+            raise CheckpointError(f"{path}: parameter {name!r} needs a list 'data' and a 'shape'")
+        try:
+            arr = np.asarray(data, dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: parameter {name!r}: {exc}") from exc
         if tuple(arr.shape) != expected[name]:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, expected {expected[name]}"

@@ -112,8 +112,11 @@ def decoder_forward(
     states = np.empty((steps, dec_hidden))
     gates = np.empty((steps, 3 * dec_hidden))
     h = np.zeros(dec_hidden)
-    # not model._run_gru: the benchmark's traced run counts each call of
-    # model.gru_step as an encoder step, so the decoder steps through this import
+    # not model._run_gru: the benchmark's tracer wraps model.gru_step and sorts
+    # each step into the word or sentence GRU by the identity of its GruParams;
+    # a step on the decoder's cell would be one on unrecognised parameters, which
+    # perfbench/run.py reports as a problem. This module's import of gru_step is
+    # bound before the tracer installs its wrapper, so decoder steps bypass it.
     for t in range(steps):
         gates[t], h = gru_step(gru, a[t], h)
         states[t] = h

@@ -89,6 +89,64 @@ def test_run_config_comments_and_blanks(tmp_path):
     assert load_run_config(path).seed == 5
 
 
+# (command, flag, RunConfig field, value in the file, value on the command line)
+FLAG_OVERRIDES = [
+    ("summarize", "--seed", "seed", "1", "2"),
+    ("train", "--mode", "mode", "abstractive", "extractive"),
+    ("summarize", "--policy", "policy", "lead:1", "lead:2"),
+    ("summarize", "--limit", "limit", "words:5", "bytes:9"),
+    ("evaluate", "--flavor", "flavor", "f1", "recall"),
+    ("train", "--batch-size", "batch_size", "3", "2"),
+    ("train", "--max-epochs", "max_epochs", "3", "1"),
+    ("train", "--patience", "patience", "4", "1"),
+    ("make-labels", "--metric", "oracle_metric", "rouge2_f1", "rouge1_recall"),
+    ("make-labels", "--max-selected", "oracle_max_selected", "3", "1"),
+]
+
+
+def _cli_run(tmp_path, command, *flags):
+    """Run `command` with small-model settings; return the written run config's path."""
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "out"
+    if command == "make-labels":
+        argv = ["--input", write_docs(tmp_path / "in.jsonl", oracle_example_docs()),
+                "--output", out / "labeled.jsonl"]
+    else:
+        corpus = labeled_corpus_file(tmp_path)
+        argv = {
+            "train": ["--train", corpus, "--valid", corpus, "--out", out],
+            "summarize": ["--input", corpus, "--out", out],
+            "evaluate": ["--input", corpus, "--out", out, "--baseline", "lead:1"],
+        }[command]
+    assert run(command, *argv, *flags) == 0
+    return out / ("labeled.jsonl.run_config.cfg" if command == "make-labels" else "run_config.cfg")
+
+
+@pytest.mark.parametrize(
+    "command, flag, field, in_file, on_line", FLAG_OVERRIDES, ids=[o[1] for o in FLAG_OVERRIDES]
+)
+def test_a_flag_overrides_its_field_in_the_config_file(
+    tmp_path, command, flag, field, in_file, on_line
+):
+    settings = {
+        "embedding_dim": "3", "hidden_dim": "4", "position_embedding_dim": "2",
+        "max_epochs": "1", "policy": "lead:1", field: in_file,
+    }
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+    written = _cli_run(tmp_path, command, "--config", cfg, flag, on_line)
+    assert str(getattr(load_run_config(written), field)) == on_line
+    unflagged = _cli_run(tmp_path / "file-only", command, "--config", cfg)
+    assert str(getattr(load_run_config(unflagged), field)) == in_file
+
+
+def test_evaluate_metric_flag_is_not_the_oracle_metric(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("oracle_metric = rouge2_f1\n", encoding="utf-8")
+    written = _cli_run(tmp_path, "evaluate", "--config", cfg, "--metric", "r1")
+    assert load_run_config(written).oracle_metric == "rouge2_f1"
+
+
 # make-labels ---------------------------------------------------------------------
 
 
@@ -232,6 +290,21 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     assert "error: max_epochs must be >= 1" in capsys.readouterr().err
     assert not list(out.glob("checkpoint_*.json"))
     assert not (out / "training_report.json").exists()
+
+
+@pytest.mark.parametrize("field", ["decoder_hidden_dim", "decoder_ff_dim"])
+def test_train_rejects_a_non_positive_decoder_dim(tmp_path, capsys, field):
+    corpus = labeled_corpus_file(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"embedding_dim = 3\nhidden_dim = 4\n{field} = -3\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert (
+        run("train", "--config", cfg, "--train", corpus, "--valid", corpus, "--out", out,
+            "--mode", "abstractive")
+        == 1
+    )
+    assert f"error: {field} must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "summarize", "evaluate"])
@@ -436,6 +509,50 @@ def test_summarize_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     )
     assert "'score.w_content' has a non-finite value" in capsys.readouterr().err
     assert not (out / "summaries.jsonl").exists()
+
+
+def _edit_payload(change):
+    def apply(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+
+    return apply
+
+
+# name -> (checkpoint text -> corrupted text, what the error must also say)
+CORRUPTIONS = {
+    "truncated": (lambda text: text[: len(text) // 2], "not valid JSON"),
+    # bit 5 of the first "[" turns it into "{"
+    "flipped-bit": (lambda text: text.replace("[", "{", 1), "not valid JSON"),
+    "not-an-object": (lambda text: "[]\n", "expected a JSON object"),
+    "data-without-shape": (
+        _edit_payload(lambda p: p["params"].update({"score.b": {"data": 5}})),
+        "'score.b'",
+    ),
+    "invalid-config": (
+        _edit_payload(lambda p: p["config"].update(hidden_dim=0)),
+        "hidden_dim must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_summarize_names_a_corrupt_checkpoint(tmp_path, capsys, corruption):
+    corrupt, detail = CORRUPTIONS[corruption]
+    ckpt = zero_checkpoint(tmp_path)
+    ckpt.write_text(corrupt(ckpt.read_text()))
+    corpus = write_docs(tmp_path / "c.jsonl", [Document("d", [["a"], ["b"]])])
+    out = tmp_path / "s"
+    assert (
+        run("summarize", "--checkpoint", ckpt, "--input", corpus, "--out", out,
+            "--policy", "topk:1")
+        == 1
+    )
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ")
+    assert detail in err
+    assert not out.exists()
 
 
 # one serving path -------------------------------------------------------------

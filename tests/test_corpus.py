@@ -152,6 +152,11 @@ def test_build_vocab_cap_pushes_rare_to_unk():
     assert vocab.lookup("b") == UNK
 
 
+def test_build_vocab_rejects_a_non_positive_cap():
+    with pytest.raises(ValueError, match="vocab_cap must be positive"):
+        build_vocab(docs_with_counts(), cap=0)
+
+
 def test_build_vocab_lexicographic_ties():
     docs = [Document("d1", [["y", "x"]])]
     vocab = build_vocab(docs, cap=10)
