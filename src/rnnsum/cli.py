@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import (
     CorpusConfig,
-    CorpusError,
     Document,
     build_vocab,
     encode,
@@ -28,7 +27,7 @@ from .corpus import (
     load_word_vectors,
     write_corpus,
 )
-from .evaluation import EvaluationError, SelectionPolicy, evaluate_corpus, select
+from .evaluation import SelectionPolicy, evaluate_corpus, select
 from .model import (
     FACTORS,
     CheckpointError,
@@ -38,9 +37,9 @@ from .model import (
     init_params,
     load_checkpoint,
 )
-from .oracle import ORACLE_METRICS, OracleConfig, OracleError, label_corpus
+from .oracle import ORACLE_METRICS, OracleConfig, label_corpus
 from .rouge import LengthLimit
-from .training import TrainConfig, TrainingError, train
+from .training import TrainConfig, train
 
 RUN_CONFIG_NAME = "run_config.cfg"
 
@@ -59,6 +58,7 @@ class RunConfig:
     max_words_per_sentence: int = 50
     vocab_cap: int = 150_000
     embedding_dim: int = 100
+    embeddings: str = ""  # word2vec text file; "" -> random init
     # model
     hidden_dim: int = 200
     position_embedding_dim: int = 50
@@ -99,6 +99,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     """Parse a flat `key = value` config file (# starts a comment)."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict = {}
+    set_on: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -110,6 +111,11 @@ def load_run_config(path: str | Path) -> RunConfig:
                 raise CliError(f"{path}:{lineno}: expected `key = value`")
             if key not in fields:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise CliError(
+                    f"{path}:{lineno}: config key {key!r} already set on line {set_on[key]}"
+                )
+            set_on[key] = lineno
             try:
                 values[key] = type(fields[key].default)(raw)
             except ValueError as exc:
@@ -119,7 +125,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def resolve_config(args) -> RunConfig:
     """Defaults < config file < every flag whose dest names a RunConfig field."""
-    config = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+    config = load_run_config(args.config) if args.config else RunConfig()
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
@@ -184,9 +190,10 @@ def cmd_train(args) -> int:
     )
 
     embedding = None
-    if args.embeddings:
+    if config.embeddings:
         embedding, covered = load_word_vectors(
-            args.embeddings, vocab, model_cfg.embedding_dim, np.random.default_rng([config.seed, 2])
+            config.embeddings, vocab, model_cfg.embedding_dim,
+            np.random.default_rng([config.seed, 2]),
         )
         print(f"loaded vectors for {covered}/{len(vocab) - 4} vocabulary tokens")
 
@@ -258,13 +265,7 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     config = resolve_config(args)
     limit = LengthLimit.parse(config.limit)
-    if args.baseline and args.checkpoint:
-        raise CliError("pass either --checkpoint or --baseline, not both")
-    if not (args.baseline or args.checkpoint):
-        raise CliError("evaluate needs --checkpoint or --baseline")
-    policy = SelectionPolicy.parse(args.baseline or config.policy)
-    if args.baseline and policy.kind != "lead":
-        raise CliError("--baseline supports only lead:N")
+    policy = SelectionPolicy.parse(config.policy)
     docs, run = _docs_and_scorer(args, config, policy)
     scorer = (lambda doc: run(doc).probability_values()) if run else None
     report = evaluate_corpus(scorer, docs, policy, limit, config.flavor)
@@ -375,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="aggregate ROUGE over a corpus")
     common(p)
     p.add_argument("--checkpoint")
-    p.add_argument("--baseline", help="lead:N baseline, bypasses any checkpoint")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--policy", help="prob | topk:K | lead:N")
@@ -399,16 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        CorpusError,
-        OracleError,
-        TrainingError,
-        EvaluationError,
-        CheckpointError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -205,11 +205,12 @@ def load_word_vectors(
 
     Rows for tokens missing from the file (including the reserved tokens) are
     drawn uniform from [-0.05, 0.05]. A leading `count dim` header line is
-    tolerated; a non-finite component of a vocabulary token's vector is an
-    error. Returns (matrix, number of vocabulary tokens covered).
+    tolerated. A non-finite component of a vocabulary token's vector, or a
+    second line for one vocabulary token, is an error. Returns (matrix, number
+    of vocabulary tokens covered).
     """
     matrix = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
-    covered: set[int] = set()
+    covered: dict[int, int] = {}  # vocabulary index -> line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -225,6 +226,10 @@ def load_word_vectors(
             idx = vocab.token_to_index.get(token)
             if idx is None or idx < len(RESERVED_TOKENS):
                 continue
+            if idx in covered:
+                raise CorpusError(
+                    f"{path}: line {lineno}: {token!r} already has a vector on line {covered[idx]}"
+                )
             try:
                 matrix[idx] = [float(v) for v in values]
             except ValueError as exc:
@@ -233,7 +238,7 @@ def load_word_vectors(
                 raise CorpusError(
                     f"{path}: line {lineno}: non-finite vector component for {token!r}"
                 )
-            covered.add(idx)
+            covered[idx] = lineno
     return matrix, len(covered)
 
 

@@ -60,8 +60,12 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:  # NaN fails too
             raise ValueError("clip_norm must be positive")
+        if not 0 <= self.adadelta_rho < 1:
+            raise ValueError("adadelta_rho must be in [0, 1)")
+        if not 0 < self.adadelta_eps < math.inf:
+            raise ValueError("adadelta_eps must be finite and positive")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,22 @@ def test_run_config_comments_and_blanks(tmp_path):
     assert load_run_config(path).seed == 5
 
 
+def test_run_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("batch_size = 2\nseed = 1\nbatch_size = 5\n", encoding="utf-8")
+    from rnnsum.cli import CliError
+
+    with pytest.raises(CliError, match=r"c\.cfg:3: config key 'batch_size' already set on line 1"):
+        load_run_config(path)
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `")]
+    table = {key.strip().strip("`"): default.strip() for key, default in rows}
+    assert table == {f.name: str(f.default) for f in dataclasses.fields(RunConfig)}
+
+
 # (command, flag, RunConfig field, value in the file, value on the command line)
 FLAG_OVERRIDES = [
     ("summarize", "--seed", "seed", "1", "2"),
@@ -116,7 +134,7 @@ def _cli_run(tmp_path, command, *flags):
         argv = {
             "train": ["--train", corpus, "--valid", corpus, "--out", out],
             "summarize": ["--input", corpus, "--out", out],
-            "evaluate": ["--input", corpus, "--out", out, "--baseline", "lead:1"],
+            "evaluate": ["--input", corpus, "--out", out, "--policy", "lead:1"],
         }[command]
     assert run(command, *argv, *flags) == 0
     return out / ("labeled.jsonl.run_config.cfg" if command == "make-labels" else "run_config.cfg")
@@ -145,6 +163,79 @@ def test_evaluate_metric_flag_is_not_the_oracle_metric(tmp_path):
     cfg.write_text("oracle_metric = rouge2_f1\n", encoding="utf-8")
     written = _cli_run(tmp_path, "evaluate", "--config", cfg, "--metric", "r1")
     assert load_run_config(written).oracle_metric == "rouge2_f1"
+
+
+def serving_corpus(tmp_path):
+    docs = [
+        Document("x", [["a", "b", "c"], ["d"], ["b", "a"], ["c", "c", "d"]], summary=[["a", "d"]]),
+        Document("y", [["d", "d"], ["a", "b", "c", "d"], ["c"]], summary=[["b", "c"]]),
+    ]
+    return write_docs(tmp_path / "c.jsonl", docs)
+
+
+def vectors_file(tmp_path, dim=4):
+    """word2vec text vectors for the tokens t0..t11 of `labeled_corpus_file`."""
+    path = tmp_path / "vec.txt"
+    lines = [f"t{i} " + " ".join(str(0.01 * (i + j)) for j in range(dim)) for i in range(12)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# case -> (command, settings given as flags, output-detail flags); settings may
+# name files that `_rerun_paths` writes
+RERUN_CASES = {
+    "make-labels": ("make-labels", ["--metric", "rouge2_f1", "--max-selected", "1"], []),
+    "train-extractive": ("train", ["--batch-size", "3", "--max-epochs", "2", "--seed", "5"], []),
+    "train-abstractive-embeddings": (
+        "train", ["--mode", "abstractive", "--embeddings", "{vectors}", "--max-epochs", "1"], [],
+    ),
+    "summarize": ("summarize", ["--policy", "prob", "--limit", "words:4"], []),
+    "evaluate-lead-no-checkpoint": ("evaluate", ["--policy", "lead:3"], []),
+    "evaluate-checkpoint": (
+        "evaluate",
+        ["--policy", "topk:2", "--limit", "bytes:9", "--flavor", "recall"],
+        ["--verbose", "--metric", "r2"],
+    ),
+    "inspect": ("inspect", [], ["--id", "y"]),
+}
+
+
+def _rerun_paths(tmp_path, case, out):
+    """The path flags of `case`, writing its output under `out`."""
+    command = RERUN_CASES[case][0]
+    if command == "make-labels":
+        return ["--input", write_docs(tmp_path / "in.jsonl", oracle_example_docs()),
+                "--output", out / "labeled.jsonl"]
+    if command == "train":
+        corpus = labeled_corpus_file(tmp_path)
+        return ["--train", corpus, "--valid", corpus, "--out", out]
+    paths = ["--input", serving_corpus(tmp_path), "--out", out]
+    if case == "evaluate-lead-no-checkpoint":
+        return paths
+    return ["--checkpoint", random_checkpoint(tmp_path), *paths]
+
+
+def _output_files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", list(RERUN_CASES))
+def test_rerun_from_the_written_config_is_byte_identical(tmp_path, case):
+    command, settings, detail = RERUN_CASES[case]
+    small = tmp_path / "small.cfg"  # model dims no flag sets; they keep `train` fast
+    small.write_text("embedding_dim = 4\nhidden_dim = 4\nposition_embedding_dim = 2\n")
+    vectors = vectors_file(tmp_path)
+    settings = [flag.format(vectors=vectors) for flag in settings]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(command, *_rerun_paths(tmp_path, case, first), "--config", small,
+               *settings, *detail) == 0
+    written = first / ("labeled.jsonl.run_config.cfg" if command == "make-labels"
+                       else "run_config.cfg")
+    assert run(command, *_rerun_paths(tmp_path, case, second), "--config", written, *detail) == 0
+    ours, theirs = _output_files(first), _output_files(second)
+    assert sorted(ours) == sorted(theirs)
+    for name in ours:
+        assert ours[name] == theirs[name], name
 
 
 # make-labels ---------------------------------------------------------------------
@@ -223,10 +314,7 @@ def test_train_writes_outputs_and_is_deterministic(tmp_path):
 
 def test_train_with_pretrained_embeddings(tmp_path, capsys):
     corpus = labeled_corpus_file(tmp_path)
-    vectors = tmp_path / "vec.txt"
-    dim = 4
-    lines = [f"t{i} " + " ".join(str(0.01 * (i + j)) for j in range(dim)) for i in range(12)]
-    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vectors = vectors_file(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("embedding_dim = 4\nhidden_dim = 4\nposition_embedding_dim = 2\n")
     out = tmp_path / "r"
@@ -376,7 +464,7 @@ def test_evaluate_lead3_perfect(tmp_path):
     out = tmp_path / "eval"
     assert (
         run(
-            "evaluate", "--baseline", "lead:3", "--input", corpus, "--out", out,
+            "evaluate", "--policy", "lead:3", "--input", corpus, "--out", out,
             "--flavor", "f1",
         )
         == 0
@@ -389,7 +477,7 @@ def test_evaluate_lead3_perfect(tmp_path):
 
 def test_evaluate_same_invocation_identical(tmp_path):
     corpus = perfect_lead_file(tmp_path)
-    args = ["evaluate", "--baseline", "lead:2", "--input", corpus, "--flavor", "recall"]
+    args = ["evaluate", "--policy", "lead:2", "--input", corpus, "--flavor", "recall"]
     assert run(*args, "--out", tmp_path / "e1") == 0
     assert run(*args, "--out", tmp_path / "e2") == 0
     assert (tmp_path / "e1/evaluation_report.json").read_bytes() == (
@@ -562,11 +650,7 @@ def test_summarize_names_a_corrupt_checkpoint(tmp_path, capsys, corruption):
 @pytest.mark.parametrize("limit", ["none", "bytes:9", "words:4"])
 def test_summarize_evaluate_and_inspect_agree(tmp_path, policy, limit):
     ckpt = random_checkpoint(tmp_path)
-    docs = [
-        Document("x", [["a", "b", "c"], ["d"], ["b", "a"], ["c", "c", "d"]], summary=[["a", "d"]]),
-        Document("y", [["d", "d"], ["a", "b", "c", "d"], ["c"]], summary=[["b", "c"]]),
-    ]
-    corpus = write_docs(tmp_path / "c.jsonl", docs)
+    corpus = serving_corpus(tmp_path)
     flags = ["--checkpoint", ckpt, "--input", corpus, "--policy", policy, "--limit", limit]
     assert run("summarize", *flags, "--out", tmp_path / "s") == 0
     assert run("evaluate", *flags, "--out", tmp_path / "e", "--verbose") == 0

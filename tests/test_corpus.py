@@ -240,6 +240,14 @@ def test_word_vectors_non_finite_component_names_file_and_line(tmp_path, bad):
         load_word_vectors(path, vocab, 2, np.random.default_rng(0))
 
 
+def test_word_vectors_reject_a_vocabulary_token_on_two_lines(tmp_path):
+    vocab = Vocabulary(["a"])
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2\nb 5 6\nb 7 8\na 3 4\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"vec\.txt: line 4: 'a' already has a vector on line 1"):
+        load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+
+
 def test_word_vectors_header_tolerated(tmp_path):
     vocab = Vocabulary(["cat"])
     path = tmp_path / "vec.txt"

@@ -477,6 +477,15 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=0.0)
+    with pytest.raises(ValueError, match="clip_norm"):
+        TrainConfig(clip_norm=float("nan"))
+    for rho in (1.5, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="adadelta_rho"):
+            TrainConfig(adadelta_rho=rho)
+    for eps in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="adadelta_eps"):
+            TrainConfig(adadelta_eps=eps)
+    TrainConfig(clip_norm=float("inf"), adadelta_rho=0.0)  # no clipping, no decay
 
 
 # reference tape -------------------------------------------------------------------
