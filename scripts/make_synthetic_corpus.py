@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from rnnsum.corpus import write_corpus
-from rnnsum.oracle import OracleConfig, label_corpus
+from rnnsum.oracle import label_corpus
 from rnnsum.synthetic import synthetic_corpus
 
 
@@ -32,7 +32,7 @@ def main():
         sentence_range=(args.min_sentences, args.max_sentences),
     )
     if args.label:
-        docs, stats = label_corpus(docs, OracleConfig())
+        docs, stats = label_corpus(docs, "rouge1_f1")
         print(
             f"labeled: mean selected {stats.mean_selected:.2f}, "
             f"mean oracle score {stats.mean_score:.3f}"

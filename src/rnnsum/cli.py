@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (
+    RESERVED_TOKENS,
     CorpusConfig,
     Document,
     build_vocab,
@@ -37,7 +38,7 @@ from .model import (
     init_params,
     load_checkpoint,
 )
-from .oracle import ORACLE_METRICS, OracleConfig, label_corpus
+from .oracle import ORACLE_METRICS, label_corpus
 from .rouge import LengthLimit
 from .training import TrainConfig, train
 
@@ -63,8 +64,6 @@ class RunConfig:
     hidden_dim: int = 200
     position_embedding_dim: int = 50
     num_rel_segments: int = 10
-    decoder_hidden_dim: int = 0  # 0 -> hidden_dim
-    decoder_ff_dim: int = 0  # 0 -> hidden_dim
     # training
     mode: str = "extractive"
     batch_size: int = 64
@@ -75,11 +74,20 @@ class RunConfig:
     adadelta_eps: float = 1e-6
     # oracle
     oracle_metric: str = "rouge1_f1"
-    oracle_max_selected: int = 0  # 0 -> unlimited
     # selection / metrics
     policy: str = "topk:3"
     limit: str = "none"
     flavor: str = "f1"
+
+    def __post_init__(self):
+        # load_run_config ends a value at `#` or a line break and strips it
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (value != value.strip() or set(value) & set("#\r\n")):
+                raise CliError(
+                    f"{f.name} = {value!r} would not read back from a config file: "
+                    "it holds '#' or a line break, or starts or ends with whitespace"
+                )
 
     def build(self, cls, **explicit):
         """A `cls` from this config's fields of the same name, then `explicit`."""
@@ -149,10 +157,7 @@ def cmd_make_labels(args) -> int:
     docs, skipped = load_corpus(args.input, config.build(CorpusConfig))
     if any(d.labels is not None for d in docs) and not args.overwrite:
         raise CliError("input already carries labels; pass --overwrite to relabel")
-    labeled, stats = label_corpus(
-        docs,
-        OracleConfig(metric=config.oracle_metric, max_selected=config.oracle_max_selected or None),
-    )
+    labeled, stats = label_corpus(docs, config.oracle_metric)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_corpus(labeled, out)
@@ -185,8 +190,6 @@ def cmd_train(args) -> int:
         vocab_size=len(vocab),
         max_abs_positions=config.max_sentences,
         decoder_enabled=config.mode == "abstractive",
-        decoder_hidden_dim=config.decoder_hidden_dim or None,
-        decoder_ff_dim=config.decoder_ff_dim or None,
     )
 
     embedding = None
@@ -195,7 +198,7 @@ def cmd_train(args) -> int:
             config.embeddings, vocab, model_cfg.embedding_dim,
             np.random.default_rng([config.seed, 2]),
         )
-        print(f"loaded vectors for {covered}/{len(vocab) - 4} vocabulary tokens")
+        print(f"loaded vectors for {covered}/{len(vocab) - len(RESERVED_TOKENS)} vocabulary tokens")
 
     store = ad.ParameterStore()
     params = init_params(model_cfg, store, np.random.default_rng([config.seed, 0]), embedding)
@@ -280,9 +283,6 @@ def cmd_evaluate(args) -> int:
     print(f"{'variant':8s} {config.flavor:>8s}")
     for name in ("rouge1", "rouge2", "rougeL"):
         print(f"{name:8s} {report[name]:8.4f}")
-    if args.metric:
-        variant = {"r1": "rouge1", "r2": "rouge2", "rl": "rougeL"}[args.metric]
-        print(f"{args.metric} = {report[variant]:.6f}")
     return 0
 
 
@@ -346,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metric", choices=ORACLE_METRICS, dest="oracle_metric", help="oracle selection metric"
     )
-    p.add_argument(
-        "--max-selected", type=int, dest="oracle_max_selected", metavar="MAX_SELECTED"
-    )
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=cmd_make_labels)
 
@@ -381,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", help="prob | topk:K | lead:N")
     p.add_argument("--limit", help="none | bytes:N | words:N")
     p.add_argument("--flavor", choices=("recall", "f1"))
-    p.add_argument("--metric", choices=("r1", "r2", "rl"), help="headline metric to print")
     p.add_argument("--verbose", action="store_true", help="include per-document scores")
     p.set_defaults(func=cmd_evaluate)
 

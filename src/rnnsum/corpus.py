@@ -182,8 +182,11 @@ def build_vocab(docs: list[Document], cap: int) -> Vocabulary:
     Counts cover document sentences and reference summaries, so decoder
     targets are representable when the corpus carries summaries.
     """
-    if cap <= 0:
-        raise ValueError("vocab_cap must be positive")
+    if cap <= len(RESERVED_TOKENS):
+        raise ValueError(
+            f"vocab_cap must exceed the {len(RESERVED_TOKENS)} reserved tokens "
+            f"({', '.join(RESERVED_TOKENS)}) to hold a word, got {cap}"
+        )
     if not docs:
         raise ValueError("build_vocab: empty corpus")
     counts: Counter = Counter()
@@ -193,9 +196,8 @@ def build_vocab(docs: list[Document], cap: int) -> Vocabulary:
         if doc.summary is not None:
             for sent in doc.summary:
                 counts.update(sent)
-    budget = max(cap - len(RESERVED_TOKENS), 0)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary([tok for tok, _ in ranked[:budget]])
+    return Vocabulary([tok for tok, _ in ranked[: cap - len(RESERVED_TOKENS)]])
 
 
 def load_word_vectors(

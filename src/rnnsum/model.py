@@ -44,8 +44,6 @@ class ModelConfig:
     max_abs_positions: int = 100
     num_rel_segments: int = 10
     decoder_enabled: bool = False
-    decoder_hidden_dim: int | None = None  # defaults to hidden_dim
-    decoder_ff_dim: int | None = None  # defaults to hidden_dim
 
     def __post_init__(self):
         for name in (
@@ -58,17 +56,6 @@ class ModelConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("decoder_hidden_dim", "decoder_ff_dim"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def dec_hidden(self) -> int:
-        return self.decoder_hidden_dim or self.hidden_dim
-
-    @property
-    def dec_ff(self) -> int:
-        return self.decoder_ff_dim or self.hidden_dim
 
 
 @dataclass
@@ -194,12 +181,12 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["pos.abs"] = (config.max_abs_positions, p)
     shapes["pos.rel"] = (config.num_rel_segments, p)
     if config.decoder_enabled:
-        shapes.update(_gru_shapes("decoder", e, config.dec_hidden, ctx=h))
-        shapes["decoder.emit.W_h"] = (config.dec_ff, config.dec_hidden)
-        shapes["decoder.emit.W_x"] = (config.dec_ff, e)
-        shapes["decoder.emit.W_c"] = (config.dec_ff, h)
-        shapes["decoder.emit.b"] = (config.dec_ff,)
-        shapes["decoder.out.W"] = (config.vocab_size, config.dec_ff)
+        shapes.update(_gru_shapes("decoder", e, h, ctx=h))
+        shapes["decoder.emit.W_h"] = (h, h)
+        shapes["decoder.emit.W_x"] = (h, e)
+        shapes["decoder.emit.W_c"] = (h, h)
+        shapes["decoder.emit.b"] = (h,)
+        shapes["decoder.out.W"] = (config.vocab_size, h)
         shapes["decoder.out.b"] = (config.vocab_size,)
     return shapes
 

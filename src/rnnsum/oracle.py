@@ -22,18 +22,6 @@ class OracleError(ValueError):
 
 
 @dataclass
-class OracleConfig:
-    metric: str = "rouge1_f1"
-    max_selected: int | None = None
-
-    def __post_init__(self):
-        if self.metric not in ORACLE_METRICS:
-            raise ValueError(f"unknown oracle metric {self.metric!r}")
-        if self.max_selected is not None and self.max_selected < 1:
-            raise ValueError("max_selected must be >= 1")
-
-
-@dataclass
 class GreedyTrace:
     labels: list[int]
     picked: list[int]  # sentence index chosen at each step
@@ -61,7 +49,7 @@ def metric_value(metric: str, candidate: list[str], reference: list[str]) -> flo
     raise ValueError(f"unknown oracle metric {metric!r}")
 
 
-def greedy_trace(doc: Document, config: OracleConfig) -> GreedyTrace:
+def greedy_trace(doc: Document, metric: str) -> GreedyTrace:
     if doc.summary is None:
         raise OracleError(f"document {doc.doc_id!r} has no reference summary")
     reference = flatten(doc.summary)
@@ -71,7 +59,7 @@ def greedy_trace(doc: Document, config: OracleConfig) -> GreedyTrace:
     picked: list[int] = []
     scores: list[float] = []
 
-    while config.max_selected is None or len(selected) < config.max_selected:
+    while True:
         best_idx = None
         best_new = best_score
         for i in range(n):
@@ -80,7 +68,7 @@ def greedy_trace(doc: Document, config: OracleConfig) -> GreedyTrace:
             candidate = flatten(
                 [doc.sentences[j] for j in sorted(selected | {i})]
             )
-            score = metric_value(config.metric, candidate, reference)
+            score = metric_value(metric, candidate, reference)
             if score > best_new:  # strict: ascending scan keeps lowest index on ties
                 best_new = score
                 best_idx = i
@@ -95,10 +83,10 @@ def greedy_trace(doc: Document, config: OracleConfig) -> GreedyTrace:
     return GreedyTrace(labels, picked, scores)
 
 
-def label_corpus(
-    docs: list[Document], config: OracleConfig
-) -> tuple[list[Document], LabelStats]:
+def label_corpus(docs: list[Document], metric: str) -> tuple[list[Document], LabelStats]:
     """Label every document; input order preserved, inputs not mutated."""
+    if metric not in ORACLE_METRICS:
+        raise ValueError(f"unknown oracle metric {metric!r}")
     missing = [d.doc_id for d in docs if d.summary is None]
     if missing:
         raise OracleError(f"documents without reference summaries: {', '.join(missing)}")
@@ -106,7 +94,7 @@ def label_corpus(
     total_selected = 0
     total_score = 0.0
     for doc in docs:
-        trace = greedy_trace(doc, config)
+        trace = greedy_trace(doc, metric)
         labeled.append(
             Document(doc.doc_id, doc.sentences, doc.summary, trace.labels)
         )

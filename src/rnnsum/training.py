@@ -97,8 +97,7 @@ def extractive_loss(params: ModelParams, sent_ids: list[list[int]], labels: list
 
 
 def decoder_forward(
-    decoder: DecoderParams, embedding: ad.Node, s_last: ad.Node, reference: list[int],
-    dec_hidden: int,
+    decoder: DecoderParams, embedding: ad.Node, s_last: ad.Node, reference: list[int]
 ) -> ad.Node:
     """Teacher-forced decoder NLL of the reference words.
 
@@ -113,9 +112,9 @@ def decoder_forward(
     inputs = [BOS] + reference[:-1]
     xs = embedding.value[inputs]
     a = gate_inputs(gru, xs, ctx)
-    states = np.empty((steps, dec_hidden))
-    gates = np.empty((steps, 3 * dec_hidden))
-    h = np.zeros(dec_hidden)
+    gates = np.empty_like(a)
+    h = np.zeros(gru.b_u.value.size)
+    states = np.empty((steps, h.size))
     # not model._run_gru: the benchmark's tracer wraps model.gru_step and sorts
     # each step into the word or sentence GRU by the identity of its GruParams;
     # a step on the decoder's cell would be one on unrecognised parameters, which
@@ -160,9 +159,7 @@ def abstractive_loss(
     if params.decoder is None:
         raise TrainingError("abstractive_loss: model has no decoder parameters")
     result = forward(params, sent_ids)
-    return decoder_forward(
-        params.decoder, params.embedding, result.s_last, reference, params.config.dec_hidden
-    )
+    return decoder_forward(params.decoder, params.embedding, result.s_last, reference)
 
 
 # ---------------------------------------------------------------------------

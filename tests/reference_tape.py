@@ -277,7 +277,7 @@ def extractive_loss(params, sent_ids, labels) -> Node:
 def abstractive_loss(params, sent_ids, reference) -> Node:
     dec = params.decoder
     _, s_last = forward(params, sent_ids)
-    h = constant(np.zeros(params.config.dec_hidden))
+    h = constant(np.zeros(params.config.hidden_dim))
     x = row(params.embedding, BOS)
     loss = None
     for w in reference:

@@ -15,7 +15,7 @@ from rnnsum.cli import main as cli_main
 from rnnsum.corpus import Document, build_vocab, encode, write_corpus
 from rnnsum.evaluation import SelectionPolicy, evaluate_corpus, select
 from rnnsum.model import FACTORS, ModelConfig, forward, init_params
-from rnnsum.oracle import OracleConfig, greedy_trace, label_corpus
+from rnnsum.oracle import greedy_trace, label_corpus
 from rnnsum.rouge import LengthLimit, rouge_l, rouge_n
 from rnnsum.synthetic import synthetic_corpus
 from rnnsum.training import (
@@ -183,7 +183,7 @@ def test_criterion_3_greedy_oracle_step_equivalence():
             for _ in range(int(rng.integers(1, 3)))
         ]
         doc = Document("r", sentences, summary=summary)
-        trace = greedy_trace(doc, OracleConfig())
+        trace = greedy_trace(doc, "rouge1_f1")
         expected = brute_greedy_steps(sentences, [t for s in summary for t in s])
         assert trace.picked == [i for i, _ in expected]
         for got, (_, want) in zip(trace.scores, expected):
@@ -202,7 +202,7 @@ def test_criterion_3_greedy_oracle_step_equivalence():
 @pytest.fixture(scope="module")
 def overfit_corpus():
     docs = synthetic_corpus(np.random.default_rng(42))
-    labeled, _ = label_corpus(docs, OracleConfig())
+    labeled, _ = label_corpus(docs, "rouge1_f1")
     assert all(2 <= sum(d.labels) <= 3 for d in labeled)
     return labeled
 
@@ -377,7 +377,7 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
     docs = synthetic_corpus(
         np.random.default_rng(1), n_docs=6, sentence_range=(4, 6), words_range=(3, 5)
     )
-    labeled, _ = label_corpus(docs, OracleConfig())
+    labeled, _ = label_corpus(docs, "rouge1_f1")
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(labeled, corpus)
     cfg_file = tmp_path / "run.cfg"

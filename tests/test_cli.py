@@ -70,10 +70,27 @@ def random_checkpoint(tmp_path):
 
 
 def test_run_config_roundtrip(tmp_path):
-    config = RunConfig(seed=7, hidden_dim=32, mode="abstractive", limit="bytes:75")
     path = tmp_path / "c.cfg"
-    path.write_text(config.to_text(), encoding="utf-8")
-    assert load_run_config(path) == config
+    for config in (
+        RunConfig(),
+        RunConfig(seed=7, hidden_dim=32, mode="abstractive", limit="bytes:75"),
+        RunConfig(embeddings="my vectors.txt"),
+    ):
+        path.write_text(config.to_text(), encoding="utf-8")
+        assert load_run_config(path) == config
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("embeddings", "vectors#2.txt"), ("embeddings", " lead.txt"), ("policy", "lead:3 "),
+     ("embeddings", "vectors\n2.txt"), ("limit", "bytes:75\r")],
+    ids=["hash", "leading-space", "trailing-space", "newline", "carriage-return"],
+)
+def test_run_config_rejects_a_value_that_would_not_read_back(key, value):
+    from rnnsum.cli import CliError
+
+    with pytest.raises(CliError, match=rf"^{key} = .* would not read back"):
+        RunConfig(**{key: value})
 
 
 def test_run_config_rejects_unknown_key(tmp_path):
@@ -118,7 +135,6 @@ FLAG_OVERRIDES = [
     ("train", "--max-epochs", "max_epochs", "3", "1"),
     ("train", "--patience", "patience", "4", "1"),
     ("make-labels", "--metric", "oracle_metric", "rouge2_f1", "rouge1_recall"),
-    ("make-labels", "--max-selected", "oracle_max_selected", "3", "1"),
 ]
 
 
@@ -158,13 +174,6 @@ def test_a_flag_overrides_its_field_in_the_config_file(
     assert str(getattr(load_run_config(unflagged), field)) == in_file
 
 
-def test_evaluate_metric_flag_is_not_the_oracle_metric(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("oracle_metric = rouge2_f1\n", encoding="utf-8")
-    written = _cli_run(tmp_path, "evaluate", "--config", cfg, "--metric", "r1")
-    assert load_run_config(written).oracle_metric == "rouge2_f1"
-
-
 def serving_corpus(tmp_path):
     docs = [
         Document("x", [["a", "b", "c"], ["d"], ["b", "a"], ["c", "c", "d"]], summary=[["a", "d"]]),
@@ -184,7 +193,7 @@ def vectors_file(tmp_path, dim=4):
 # case -> (command, settings given as flags, output-detail flags); settings may
 # name files that `_rerun_paths` writes
 RERUN_CASES = {
-    "make-labels": ("make-labels", ["--metric", "rouge2_f1", "--max-selected", "1"], []),
+    "make-labels": ("make-labels", ["--metric", "rouge2_f1"], []),
     "train-extractive": ("train", ["--batch-size", "3", "--max-epochs", "2", "--seed", "5"], []),
     "train-abstractive-embeddings": (
         "train", ["--mode", "abstractive", "--embeddings", "{vectors}", "--max-epochs", "1"], [],
@@ -194,7 +203,7 @@ RERUN_CASES = {
     "evaluate-checkpoint": (
         "evaluate",
         ["--policy", "topk:2", "--limit", "bytes:9", "--flavor", "recall"],
-        ["--verbose", "--metric", "r2"],
+        ["--verbose"],
     ),
     "inspect": ("inspect", [], ["--id", "y"]),
 }
@@ -380,18 +389,15 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     assert not (out / "training_report.json").exists()
 
 
-@pytest.mark.parametrize("field", ["decoder_hidden_dim", "decoder_ff_dim"])
-def test_train_rejects_a_non_positive_decoder_dim(tmp_path, capsys, field):
+def test_train_rejects_an_embeddings_path_the_config_file_cannot_hold(tmp_path, capsys):
     corpus = labeled_corpus_file(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"embedding_dim = 3\nhidden_dim = 4\n{field} = -3\n", encoding="utf-8")
     out = tmp_path / "r"
     assert (
-        run("train", "--config", cfg, "--train", corpus, "--valid", corpus, "--out", out,
-            "--mode", "abstractive")
+        run("train", "--train", corpus, "--valid", corpus, "--out", out,
+            "--embeddings", "vectors#2.txt")
         == 1
     )
-    assert f"error: {field} must be positive" in capsys.readouterr().err
+    assert "error: embeddings = 'vectors#2.txt' would not read back" in capsys.readouterr().err
     assert not out.exists()
 
 

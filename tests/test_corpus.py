@@ -153,8 +153,15 @@ def test_build_vocab_cap_pushes_rare_to_unk():
 
 
 def test_build_vocab_rejects_a_non_positive_cap():
-    with pytest.raises(ValueError, match="vocab_cap must be positive"):
+    with pytest.raises(ValueError, match="vocab_cap must exceed the 4 reserved tokens"):
         build_vocab(docs_with_counts(), cap=0)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_build_vocab_rejects_a_cap_with_no_room_for_a_word(cap):
+    reserved = r"vocab_cap must exceed the 4 reserved tokens \(<pad>, <unk>, <bos>, <eos>\)"
+    with pytest.raises(ValueError, match=rf"{reserved} to hold a word, got {cap}"):
+        build_vocab(docs_with_counts(), cap=cap)
 
 
 def test_build_vocab_lexicographic_ties():

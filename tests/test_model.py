@@ -419,6 +419,18 @@ def test_checkpoint_version_mismatch_fails_loudly(tmp_path):
 
 
 
+def test_checkpoint_naming_a_removed_decoder_size_fails_loudly(tmp_path):
+    cfg = toy_config(decoder_enabled=True)
+    store, _ = make_params(cfg, seed=31)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, store, cfg, Vocabulary(["a", "b", "c", "d"]))
+    payload = json.loads(path.read_text())
+    payload["config"]["decoder_hidden_dim"] = None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=r"ckpt\.json: bad config block .*decoder_hidden_dim"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_with_a_non_finite_value_fails_loudly(tmp_path):
     cfg = toy_config()
     store, _ = make_params(cfg, seed=31)
@@ -450,4 +462,10 @@ def test_parameter_shapes_cover_wiring():
         store.add(name, np.zeros(shape))
     params = wire_params(store, cfg)
     assert params.embedding.value.shape == (cfg.vocab_size, cfg.embedding_dim)
-    assert params.decoder.out_W.value.shape == (cfg.vocab_size, cfg.dec_ff)
+    # vocab_size, embedding_dim and hidden_dim differ, so a transposed shape fails
+    h, e, dec = cfg.hidden_dim, cfg.embedding_dim, params.decoder
+    assert (dec.gru.W_ux.value.shape, dec.gru.W_uh.value.shape) == ((h, e), (h, h))
+    assert dec.gru.W_uc.value.shape == (h, h)
+    assert (dec.emit_Wh.value.shape, dec.emit_Wx.value.shape) == ((h, h), (h, e))
+    assert dec.emit_Wc.value.shape == (h, h)
+    assert dec.out_W.value.shape == (cfg.vocab_size, h)

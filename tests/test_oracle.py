@@ -6,7 +6,6 @@ from rnnsum.corpus import Document
 from rnnsum.oracle import (
     GreedyTrace,
     LabelStats,
-    OracleConfig,
     OracleError,
     greedy_trace,
     label_corpus,
@@ -64,11 +63,11 @@ def worked_doc():
 
 
 def test_worked_example_labels():
-    assert greedy_trace(worked_doc(), OracleConfig()).labels == [0, 1, 1]
+    assert greedy_trace(worked_doc(), "rouge1_f1").labels == [0, 1, 1]
 
 
 def test_worked_example_step_scores():
-    trace = greedy_trace(worked_doc(), OracleConfig())
+    trace = greedy_trace(worked_doc(), "rouge1_f1")
     assert trace.picked == [2, 1]
     assert trace.scores[0] == pytest.approx(0.857142857, abs=1e-6)
     assert trace.scores[1] == pytest.approx(0.888888889, abs=1e-6)
@@ -80,34 +79,23 @@ def test_perfect_single_sentence():
         [["x", "y"], ["q", "r"], ["s", "t"]],
         summary=[["x", "y"]],
     )
-    assert greedy_trace(doc, OracleConfig()).labels == [1, 0, 0]
+    assert greedy_trace(doc, "rouge1_f1").labels == [1, 0, 0]
 
 
 def test_disjoint_sentences_all_zero():
     doc = Document("z", [["a"], ["b"]], summary=[["q", "r"]])
-    assert greedy_trace(doc, OracleConfig()).labels == [0, 0]
+    assert greedy_trace(doc, "rouge1_f1").labels == [0, 0]
 
 
 def test_missing_summary_rejected():
     with pytest.raises(OracleError):
-        greedy_trace(Document("m", [["a"]]), OracleConfig())
-
-
-def test_max_selected_caps_selection():
-    doc = Document(
-        "c",
-        [["a"], ["b"], ["c"]],
-        summary=[["a", "b", "c"]],
-    )
-    labels = greedy_trace(doc, OracleConfig(max_selected=2)).labels
-    assert sum(labels) == 2
+        greedy_trace(Document("m", [["a"]]), "rouge1_f1")
 
 
 def test_metric_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(metric="bleu")
-    with pytest.raises(ValueError):
-        OracleConfig(max_selected=0)
+    # checked before any document: this one has no summary, which would also fail
+    with pytest.raises(ValueError, match="unknown oracle metric 'bleu'"):
+        label_corpus([Document("m", [["a"]])], "bleu")
 
 
 # corpus labeling ---------------------------------------------------------------
@@ -118,7 +106,7 @@ def test_label_corpus_preserves_order_and_stats():
         worked_doc(),
         Document("p", [["x"], ["q"]], summary=[["x"]]),
     ]
-    labeled, stats = label_corpus(docs, OracleConfig())
+    labeled, stats = label_corpus(docs, "rouge1_f1")
     assert [d.doc_id for d in labeled] == ["w", "p"]
     assert labeled[0].labels == [0, 1, 1]
     assert labeled[1].labels == [1, 0]
@@ -129,7 +117,7 @@ def test_label_corpus_preserves_order_and_stats():
 
 
 def test_label_corpus_empty():
-    labeled, stats = label_corpus([], OracleConfig())
+    labeled, stats = label_corpus([], "rouge1_f1")
     assert labeled == []
     assert stats == LabelStats(0, 0.0, 0.0)
 
@@ -137,7 +125,7 @@ def test_label_corpus_empty():
 def test_label_corpus_missing_summary_names_ids():
     docs = [Document("ok", [["a"]], summary=[["a"]]), Document("bad", [["b"]])]
     with pytest.raises(OracleError, match="bad"):
-        label_corpus(docs, OracleConfig())
+        label_corpus(docs, "rouge1_f1")
 
 
 # properties --------------------------------------------------------------------
@@ -150,7 +138,7 @@ doc_sentences = st.lists(sentence, min_size=1, max_size=5)
 @given(doc_sentences, sentence)
 def test_greedy_matches_brute_force_scan(sentences, summary):
     doc = Document("h", sentences, summary=[summary])
-    trace = greedy_trace(doc, OracleConfig())
+    trace = greedy_trace(doc, "rouge1_f1")
     expected = brute_greedy_steps(sentences, [summary])
     assert trace.picked == [i for i, _ in expected]
     for got, (_, want) in zip(trace.scores, expected):
@@ -160,20 +148,12 @@ def test_greedy_matches_brute_force_scan(sentences, summary):
 @settings(max_examples=150, deadline=None)
 @given(doc_sentences, sentence)
 def test_step_scores_non_decreasing(sentences, summary):
-    trace = greedy_trace(Document("h", sentences, summary=[summary]), OracleConfig())
+    trace = greedy_trace(Document("h", sentences, summary=[summary]), "rouge1_f1")
     assert all(b >= a for a, b in zip(trace.scores, trace.scores[1:]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(doc_sentences, sentence, st.integers(min_value=1, max_value=3))
-def test_selected_count_respects_cap(sentences, summary, cap):
-    doc = Document("h", sentences, summary=[summary])
-    labels = greedy_trace(doc, OracleConfig(max_selected=cap)).labels
-    assert sum(labels) <= cap
 
 
 @settings(max_examples=100, deadline=None)
 @given(doc_sentences, sentence)
 def test_labels_mark_exactly_the_picked_sentences(sentences, summary):
-    trace = greedy_trace(Document("h", sentences, summary=[summary]), OracleConfig())
+    trace = greedy_trace(Document("h", sentences, summary=[summary]), "rouge1_f1")
     assert sorted(trace.picked) == [i for i, y in enumerate(trace.labels) if y == 1]

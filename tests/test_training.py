@@ -100,7 +100,7 @@ def test_decoder_crafted_logits():
     store, params = make_params(cfg, zero=True)
     store["decoder.out.b"].value[0] = 10.0
     s_last = ad.Node(np.zeros(cfg.hidden_dim))
-    loss = decoder_forward(params.decoder, params.embedding, s_last, [0], cfg.dec_hidden)
+    loss = decoder_forward(params.decoder, params.embedding, s_last, [0])
     expected = -math.log(math.exp(10) / (math.exp(10) + (cfg.vocab_size - 1)))
     assert float(loss.value) == pytest.approx(expected, abs=1e-12)
 
@@ -144,13 +144,11 @@ def test_zeroing_context_matrices_cuts_encoder_gradients():
 def test_abstractive_gradients_match_finite_differences():
     # the second input has sentences of 1, 3 and 4 words, a token repeated
     # within a sentence and within the reference, more sentences than relative
-    # segments, and distinct embedding, hidden, decoder and emission dims
+    # segments, and distinct vocabulary, embedding and hidden dims
     inputs = [
         (dict(vocab_size=8, embedding_dim=2, hidden_dim=2), [[0, 1], [2, 3]], [4, 5, 6]),
         (
-            dict(
-                vocab_size=8, embedding_dim=3, hidden_dim=4, decoder_hidden_dim=5, decoder_ff_dim=6
-            ),
+            dict(vocab_size=9, embedding_dim=3, hidden_dim=5),
             [[5], [1, 2, 1], [3, 4, 0, 3]],
             [4, 5, 4, 6],
         ),
@@ -493,9 +491,7 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("mode", ["extractive", "abstractive"])
 def test_layers_match_the_reference_tape(mode):
-    cfg = toy_config(
-        vocab_size=9, decoder_enabled=True, decoder_hidden_dim=5, decoder_ff_dim=6
-    )
+    cfg = toy_config(vocab_size=9, hidden_dim=5, decoder_enabled=True)
     store, params = make_params(cfg, seed=8)
     rng = np.random.default_rng(88)
     for _, node in store.items():
