@@ -23,6 +23,7 @@ from .corpus import (
     CorpusConfig,
     Document,
     build_vocab,
+    check_vocab_cap,
     encode,
     load_corpus,
     load_word_vectors,
@@ -38,7 +39,7 @@ from .model import (
     init_params,
     load_checkpoint,
 )
-from .oracle import ORACLE_METRICS, label_corpus
+from .oracle import ORACLE_METRICS, check_metric, label_corpus
 from .rouge import LengthLimit
 from .training import TrainConfig, train
 
@@ -154,6 +155,7 @@ def _dump_json(path: Path, payload) -> None:
 
 def cmd_make_labels(args) -> int:
     config = resolve_config(args)
+    check_metric(config.oracle_metric)
     docs, skipped = load_corpus(args.input, config.build(CorpusConfig))
     if any(d.labels is not None for d in docs) and not args.overwrite:
         raise CliError("input already carries labels; pass --overwrite to relabel")
@@ -177,6 +179,7 @@ def cmd_make_labels(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
+    check_vocab_cap(config.vocab_cap)
     train_cfg = config.build(TrainConfig)
     out_dir = Path(args.out)  # `train` creates it once the corpora are checked
     corpus_cfg = config.build(CorpusConfig)

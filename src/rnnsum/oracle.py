@@ -12,9 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import Document
-from .rouge import flatten, rouge_n
+from .rouge import flatten, ngram_counts, rouge_n
 
-ORACLE_METRICS = ("rouge1_f1", "rouge2_f1", "mean_r1_r2_f1", "rouge1_recall")
+# the n of each ROUGE-N a metric reads, and how it combines their scores
+_METRICS = {
+    "rouge1_f1": ((1,), lambda r1: r1.f1),
+    "rouge2_f1": ((2,), lambda r2: r2.f1),
+    "mean_r1_r2_f1": ((1, 2), lambda r1, r2: 0.5 * (r1.f1 + r2.f1)),
+    "rouge1_recall": ((1,), lambda r1: r1.recall),
+}
+ORACLE_METRICS = tuple(_METRICS)
 
 
 class OracleError(ValueError):
@@ -35,24 +42,21 @@ class LabelStats:
     mean_score: float
 
 
-def metric_value(metric: str, candidate: list[str], reference: list[str]) -> float:
-    if metric == "rouge1_f1":
-        return rouge_n(candidate, reference, 1).f1
-    if metric == "rouge2_f1":
-        return rouge_n(candidate, reference, 2).f1
-    if metric == "mean_r1_r2_f1":
-        r1 = rouge_n(candidate, reference, 1).f1
-        r2 = rouge_n(candidate, reference, 2).f1
-        return 0.5 * (r1 + r2)
-    if metric == "rouge1_recall":
-        return rouge_n(candidate, reference, 1).recall
-    raise ValueError(f"unknown oracle metric {metric!r}")
+def check_metric(metric: str) -> None:
+    if metric not in _METRICS:
+        raise ValueError(f"unknown oracle metric {metric!r}")
 
 
 def greedy_trace(doc: Document, metric: str) -> GreedyTrace:
+    """Greedy selection for one document. The reference is counted once; each
+    candidate, the selection plus one sentence flattened in document order, is
+    counted and scored with one `rouge_n` call per n the metric reads."""
+    check_metric(metric)
     if doc.summary is None:
         raise OracleError(f"document {doc.doc_id!r} has no reference summary")
+    orders, combine = _METRICS[metric]
     reference = flatten(doc.summary)
+    references = [ngram_counts(reference, n) for n in orders]
     n = len(doc.sentences)
     selected: set[int] = set()
     best_score = 0.0
@@ -68,7 +72,9 @@ def greedy_trace(doc: Document, metric: str) -> GreedyTrace:
             candidate = flatten(
                 [doc.sentences[j] for j in sorted(selected | {i})]
             )
-            score = metric_value(metric, candidate, reference)
+            score = combine(
+                *[rouge_n(ngram_counts(candidate, k), ref) for k, ref in zip(orders, references)]
+            )
             if score > best_new:  # strict: ascending scan keeps lowest index on ties
                 best_new = score
                 best_idx = i
@@ -85,8 +91,7 @@ def greedy_trace(doc: Document, metric: str) -> GreedyTrace:
 
 def label_corpus(docs: list[Document], metric: str) -> tuple[list[Document], LabelStats]:
     """Label every document; input order preserved, inputs not mutated."""
-    if metric not in ORACLE_METRICS:
-        raise ValueError(f"unknown oracle metric {metric!r}")
+    check_metric(metric)
     missing = [d.doc_id for d in docs if d.summary is None]
     if missing:
         raise OracleError(f"documents without reference summaries: {', '.join(missing)}")

@@ -4,12 +4,15 @@ Candidates and references are pre-tokenized. Byte limits are measured on the
 single-space-joined string (UTF-8), counting separator spaces; a token is kept
 only if the joined prefix through it still fits. Multi-sentence texts are
 flattened before matching; no stemming or stopword filtering is applied.
+ROUGE-N scores two n-gram count tables, so a caller that scores many
+candidates against one reference counts the reference once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 Sentences = list[list[str]]
 
@@ -54,7 +57,7 @@ def is_integer(text: str) -> bool:
 
 
 def flatten(sentences: Sentences) -> list[str]:
-    return [tok for sent in sentences for tok in sent]
+    return list(chain.from_iterable(sentences))
 
 
 def truncate(candidate: Sentences, limit: LengthLimit) -> list[str]:
@@ -75,8 +78,14 @@ def truncate(candidate: Sentences, limit: LengthLimit) -> list[str]:
     return out
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def ngram_counts(tokens: list[str], n: int) -> Counter:
+    """The n-grams of `tokens` with their counts: keyed by the token itself for
+    n = 1, and by a tuple of n tokens for n >= 2."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def _score(match: float, cand_total: int, ref_total: int) -> RougeScore:
@@ -86,14 +95,11 @@ def _score(match: float, cand_total: int, ref_total: int) -> RougeScore:
     return RougeScore(recall, precision, f1)
 
 
-def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
-    """Clipped n-gram overlap recall/precision/F1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cand = _ngram_counts(candidate, n)
-    ref = _ngram_counts(reference, n)
-    match = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return _score(match, sum(cand.values()), sum(ref.values()))
+def rouge_n(candidate: Counter, reference: Counter) -> RougeScore:
+    """Clipped n-gram overlap recall/precision/F1 of two `ngram_counts` tables
+    of the same n."""
+    match = sum(map(min, candidate.values(), map(reference.get, candidate, repeat(0))))
+    return _score(match, candidate.total(), reference.total())
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -126,7 +132,7 @@ def evaluate_summary(
         raise ValueError("evaluate_summary: reference summary is empty")
     cand_tokens = truncate(candidate, limit)
     return {
-        "rouge1": rouge_n(cand_tokens, ref_tokens, 1),
-        "rouge2": rouge_n(cand_tokens, ref_tokens, 2),
+        "rouge1": rouge_n(ngram_counts(cand_tokens, 1), ngram_counts(ref_tokens, 1)),
+        "rouge2": rouge_n(ngram_counts(cand_tokens, 2), ngram_counts(ref_tokens, 2)),
         "rougeL": rouge_l(cand_tokens, ref_tokens),
     }

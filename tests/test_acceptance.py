@@ -16,7 +16,7 @@ from rnnsum.corpus import Document, build_vocab, encode, write_corpus
 from rnnsum.evaluation import SelectionPolicy, evaluate_corpus, select
 from rnnsum.model import FACTORS, ModelConfig, forward, init_params
 from rnnsum.oracle import greedy_trace, label_corpus
-from rnnsum.rouge import LengthLimit, rouge_l, rouge_n
+from rnnsum.rouge import LengthLimit, ngram_counts, rouge_l, rouge_n
 from rnnsum.synthetic import synthetic_corpus
 from rnnsum.training import (
     TrainConfig,
@@ -131,7 +131,7 @@ def test_criterion_2_rouge_oracle_equivalence():
         ref = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 9))]
         for n in (1, 2):
             match, c, r = brute_ngram_counts(cand, ref, n)
-            got = rouge_n(cand, ref, n)
+            got = rouge_n(ngram_counts(cand, n), ngram_counts(ref, n))
             assert got.recall == (match / r if r else 0.0)
             assert got.precision == (match / c if c else 0.0)
         lcs = brute_lcs(cand, ref)

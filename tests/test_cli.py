@@ -401,6 +401,31 @@ def test_train_rejects_an_embeddings_path_the_config_file_cannot_hold(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("make-labels", "oracle_metric = bleu", "error: unknown oracle metric 'bleu'"),
+        ("train", "vocab_cap = 3", "error: vocab_cap must exceed the 4 reserved tokens"),
+    ],
+)
+def test_a_bad_setting_is_reported_before_any_corpus_is_read(tmp_path, capsys, command, setting, message):
+    broken = tmp_path / "bad.jsonl"
+    broken.write_text("{broken\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "make-labels": ["--input", broken, "--output", out],
+        "train": ["--train", broken, "--valid", broken, "--out", out],
+    }[command]
+    assert run(command, "--config", cfg, *argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid JSON" not in err
+    assert not out.exists()
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("command", ["train", "summarize", "evaluate"])
 def test_a_failing_command_leaves_no_out_directory(tmp_path, command):
     corpus = labeled_corpus_file(tmp_path)

@@ -1,9 +1,12 @@
 import pytest
-from hypothesis import given, settings
+import reference_oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rnnsum import oracle
 from rnnsum.corpus import Document
 from rnnsum.oracle import (
+    ORACLE_METRICS,
     GreedyTrace,
     LabelStats,
     OracleError,
@@ -157,3 +160,43 @@ def test_step_scores_non_decreasing(sentences, summary):
 def test_labels_mark_exactly_the_picked_sentences(sentences, summary):
     trace = greedy_trace(Document("h", sentences, summary=[summary]), "rouge1_f1")
     assert sorted(trace.picked) == [i for i, y in enumerate(trace.labels) if y == 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc_sentences, st.lists(sentence, min_size=1, max_size=2))
+# repeated tokens within and across sentences
+@example([["a", "a", "b"], ["a", "b", "a"], ["b", "b"]], [["a", "b", "a", "a"]])
+# one-token sentences, and a one-token reference, which has no bigram
+@example([["a"], ["b"], ["a"], ["c"]], [["a"]])
+@example([["a"], ["b"], ["c"]], [["a", "b"], ["c"]])
+# the bigram ("b", "c") exists only across selected sentences 0 and 2
+@example([["a", "b"], ["d"], ["c", "d"]], [["a", "b", "c", "d"]])
+def test_greedy_trace_equals_the_token_level_oracle(sentences, summary):
+    doc = Document("h", sentences, summary=summary)
+    for metric in ORACLE_METRICS:
+        want = reference_oracle.greedy_trace(sentences, summary, metric)
+        assert greedy_trace(doc, metric) == want, metric
+
+
+@pytest.mark.parametrize("metric", ORACLE_METRICS)
+def test_one_rouge_n_call_per_candidate_and_n(monkeypatch, metric):
+    """Each of the m picks and the final scan that finds no improvement
+    scores every still-unselected sentence, once per n the metric reads."""
+    original = oracle.rouge_n
+    calls = []
+
+    def counting(candidate, reference):
+        calls.append(candidate)
+        return original(candidate, reference)
+
+    monkeypatch.setattr(oracle, "rouge_n", counting)
+    doc = Document(
+        "c",
+        [["a", "b"], ["c", "d"], ["a", "b", "c"], ["x"], ["d", "a"], ["b", "c", "d"]],
+        summary=[["a", "b", "c", "d"], ["d", "a"]],
+    )
+    trace = greedy_trace(doc, metric)
+    n, m = len(doc.sentences), sum(trace.labels)
+    per_score = 2 if metric == "mean_r1_r2_f1" else 1
+    assert m >= 1
+    assert len(calls) == per_score * sum(n - k for k in range(m + 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnnsum.rouge import LengthLimit, evaluate_summary, rouge_l, rouge_n, truncate
+from rnnsum.rouge import LengthLimit, evaluate_summary, ngram_counts, rouge_l, rouge_n, truncate
 
 # independent oracles ---------------------------------------------------------
 
@@ -75,25 +75,49 @@ def test_limit_parse_roundtrip():
 REF = ["the", "cat", "sat", "on", "the", "mat"]
 
 
+def rouge_n_of(candidate, reference, n):
+    return rouge_n(ngram_counts(candidate, n), ngram_counts(reference, n))
+
+
 def test_rouge1_hand_counts():
-    got = rouge_n(["the", "cat", "the"], REF, 1)
+    got = rouge_n_of(["the", "cat", "the"], REF, 1)
     assert got.recall == pytest.approx(0.5)
     assert got.precision == pytest.approx(1.0)
     assert got.f1 == pytest.approx(2 / 3, abs=1e-4)
 
 
 def test_rouge2_hand_counts():
-    got = rouge_n(["the", "cat", "sat"], REF, 2)
+    got = rouge_n_of(["the", "cat", "sat"], REF, 2)
     assert got.recall == pytest.approx(0.4)
 
 
 def test_rouge_identity():
-    got = rouge_n(REF, REF, 1)
+    got = rouge_n_of(REF, REF, 1)
     assert (got.recall, got.precision, got.f1) == (1.0, 1.0, 1.0)
 
 
 def test_rouge_empty_candidate_is_zero():
-    got = rouge_n([], REF, 1)
+    got = rouge_n_of([], REF, 1)
+    assert (got.recall, got.precision, got.f1) == (0.0, 0.0, 0.0)
+
+
+def test_ngram_counts_keys():
+    assert ngram_counts(["a", "b", "a"], 1) == {"a": 2, "b": 1}
+    assert ngram_counts(["a", "b", "a", "b"], 2) == {("a", "b"): 2, ("b", "a"): 1}
+    assert ngram_counts(["a", "b", "c"], 3) == {("a", "b", "c"): 1}
+    assert ngram_counts(["a"], 2) == {}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_ngram_counts_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        ngram_counts(["a", "b"], n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("candidate, reference", [([], []), ([], ["a", "b"]), (["a", "b"], [])])
+def test_rouge_n_of_an_empty_table_is_zero(candidate, reference, n):
+    got = rouge_n_of(candidate, reference, n)
     assert (got.recall, got.precision, got.f1) == (0.0, 0.0, 0.0)
 
 
@@ -153,21 +177,21 @@ tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=6)
 @given(tokens, tokens)
 def test_symmetry_recall_precision(x, y):
     for n in (1, 2):
-        assert rouge_n(x, y, n).recall == pytest.approx(rouge_n(y, x, n).precision)
+        assert rouge_n_of(x, y, n).recall == pytest.approx(rouge_n_of(y, x, n).precision)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tokens, st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=6))
 def test_appending_reference_tokens_never_decreases_recall(cand, ref):
-    base = rouge_n(cand, ref, 1).recall
-    extended = rouge_n(cand + [ref[0]], ref, 1).recall
+    base = rouge_n_of(cand, ref, 1).recall
+    extended = rouge_n_of(cand + [ref[0]], ref, 1).recall
     assert extended >= base - 1e-12
 
 
 @settings(max_examples=200, deadline=None)
 @given(tokens, tokens)
 def test_rouge_l_recall_bounded_by_rouge_1(x, y):
-    assert rouge_l(x, y).recall <= rouge_n(x, y, 1).recall + 1e-12
+    assert rouge_l(x, y).recall <= rouge_n_of(x, y, 1).recall + 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,6 +209,6 @@ def test_rouge_l_matches_exhaustive_enumeration(x, y):
 @given(tokens, tokens, st.sampled_from([1, 2]))
 def test_rouge_n_matches_brute_force(x, y, n):
     match, cand_total, ref_total = brute_ngram_overlap(x, y, n)
-    got = rouge_n(x, y, n)
+    got = rouge_n_of(x, y, n)
     assert got.recall == pytest.approx(match / ref_total if ref_total else 0.0)
     assert got.precision == pytest.approx(match / cand_total if cand_total else 0.0)
