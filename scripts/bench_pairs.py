@@ -6,9 +6,8 @@
 The parent is exported with `git archive` into a temporary directory. For
 each seed and each workload of `BENCHMARK.json`, `perfbench/run.py --trace 0`
 runs for the benchmark's `run_seconds` once on the export and once on the
-working tree; which side runs first alternates from pair to pair. After each pair the first round's artifacts of the two sides are
-compared byte for byte. Every result line is appended to `--raw` as it comes,
-so `--summarize RAW` can rebuild the report without running anything.
+working tree; which side runs first alternates from pair to pair. After each
+pair the first round's artifacts of the two sides are compared byte for byte.
 
 The report holds, per workload and end-to-end metric of `BENCHMARK.json`:
 each side's median, minimum and inter-quartile range, the ratio of the
@@ -43,7 +42,12 @@ ARTIFACTS = (
 def export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # the extraction filter exists from Python 3.11.4 and 3.10.12 on; the
+        # archive is the repository's own, so a plain extraction is safe before
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,12 +68,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def artifact_digests(checkout: Path, workload: str) -> dict[str, str]:
+    """The SHA-256 of every first-round artifact; raises if a pattern of
+    ARTIFACTS matches no file, so a pair never counts as identical unseen."""
     first = checkout / ".perfbench_work" / workload / "round-0"
-    return {
-        str(path.relative_to(first)): hashlib.sha256(path.read_bytes()).hexdigest()
-        for pattern in ARTIFACTS
-        for path in sorted(first.glob(pattern))
-    }
+    digests = {}
+    for pattern in ARTIFACTS:
+        paths = sorted(first.glob(pattern))
+        if not paths:
+            raise RuntimeError(f"no {pattern} under {first}")
+        digests |= {
+            str(path.relative_to(first)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in paths
+        }
+    return digests
 
 
 def spread(values: list[float]) -> dict:
@@ -81,7 +92,7 @@ def spread(values: list[float]) -> dict:
 
 def summarize(lines: list[dict], metrics: list[dict]) -> dict:
     """Per workload: correctness, failures, artifact identity and one summary
-    per end-to-end metric. `lines` are the records `--raw` holds: workload,
+    per end-to-end metric. `lines` are the records of `run_pairs`: workload,
     seed, side ("parent" or "change"), result, and `identical` on the change's
     record."""
     out = {}
@@ -143,7 +154,7 @@ def report(lines: list[dict], benchmark: dict, args) -> dict:
     }
 
 
-def run_pairs(rev: str, seeds: list[int], workloads: list[str], seconds: float, raw: Path | None) -> list[dict]:
+def run_pairs(rev: str, seeds: list[int], workloads: list[str], seconds: float) -> list[dict]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp)
@@ -155,15 +166,11 @@ def run_pairs(rev: str, seeds: list[int], workloads: list[str], seconds: float, 
                 for side, checkout in (sides if pair % 2 == 0 else sides[::-1])
             }
             identical = artifact_digests(parent, workload) == artifact_digests(ROOT, workload)
-            pair_lines = [
+            lines += [
                 {"workload": workload, "seed": seed, "side": "parent", "result": results["parent"]},
                 {"workload": workload, "seed": seed, "side": "change", "result": results["change"],
                  "identical": identical},
             ]
-            lines += pair_lines
-            if raw:
-                with open(raw, "a", encoding="utf-8") as fh:
-                    fh.writelines(json.dumps(line, sort_keys=True) + "\n" for line in pair_lines)
             print(f"{workload} seed {seed}: correct {[r['correct'] for r in results.values()]}, "
                   f"artifacts identical {identical}", flush=True)
     return lines
@@ -172,23 +179,16 @@ def run_pairs(rev: str, seeds: list[int], workloads: list[str], seconds: float, 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--seeds", type=int, nargs="+", help="one pair per seed and workload")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed and workload")
     parser.add_argument("--title", default="")
-    parser.add_argument("--raw", type=Path, help="append each result line here (JSON lines)")
-    parser.add_argument("--summarize", type=Path, metavar="RAW", help="only summarize these lines")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if not (args.seeds or args.summarize):
-        parser.error("give --seeds to run pairs, or --summarize RAW")
     args.parent = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.summarize:
-        lines = [json.loads(line) for line in args.summarize.read_text(encoding="utf-8").splitlines()]
-    else:
-        workloads = [w["name"] for w in benchmark["workloads"]]
-        lines = run_pairs(args.parent, args.seeds, workloads, benchmark["run_seconds"], args.raw)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    lines = run_pairs(args.parent, args.seeds, workloads, benchmark["run_seconds"])
     args.out.write_text(json.dumps(report(lines, benchmark, args), indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

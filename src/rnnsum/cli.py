@@ -23,7 +23,6 @@ from .corpus import (
     CorpusConfig,
     Document,
     build_vocab,
-    check_vocab_cap,
     encode,
     load_corpus,
     load_word_vectors,
@@ -39,7 +38,7 @@ from .model import (
     init_params,
     load_checkpoint,
 )
-from .oracle import ORACLE_METRICS, check_metric, label_corpus
+from .oracle import ORACLE_METRICS, label_corpus
 from .rouge import LengthLimit
 from .training import TrainConfig, train
 
@@ -89,6 +88,14 @@ class RunConfig:
                     f"{f.name} = {value!r} would not read back from a config file: "
                     "it holds '#' or a line break, or starts or ends with whitespace"
                 )
+        # checked here so a bad value stops a command before it opens any input
+        if self.oracle_metric not in ORACLE_METRICS:
+            raise CliError(f"unknown oracle metric {self.oracle_metric!r}")
+        if self.vocab_cap <= len(RESERVED_TOKENS):
+            raise CliError(
+                f"vocab_cap must exceed the {len(RESERVED_TOKENS)} reserved tokens "
+                f"({', '.join(RESERVED_TOKENS)}) to hold a word, got {self.vocab_cap}"
+            )
 
     def build(self, cls, **explicit):
         """A `cls` from this config's fields of the same name, then `explicit`."""
@@ -155,7 +162,6 @@ def _dump_json(path: Path, payload) -> None:
 
 def cmd_make_labels(args) -> int:
     config = resolve_config(args)
-    check_metric(config.oracle_metric)
     docs, skipped = load_corpus(args.input, config.build(CorpusConfig))
     if any(d.labels is not None for d in docs) and not args.overwrite:
         raise CliError("input already carries labels; pass --overwrite to relabel")
@@ -179,7 +185,6 @@ def cmd_make_labels(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    check_vocab_cap(config.vocab_cap)
     train_cfg = config.build(TrainConfig)
     out_dir = Path(args.out)  # `train` creates it once the corpora are checked
     corpus_cfg = config.build(CorpusConfig)

@@ -176,21 +176,17 @@ def write_corpus(docs: list[Document], path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def check_vocab_cap(cap: int) -> None:
-    if cap <= len(RESERVED_TOKENS):
-        raise ValueError(
-            f"vocab_cap must exceed the {len(RESERVED_TOKENS)} reserved tokens "
-            f"({', '.join(RESERVED_TOKENS)}) to hold a word, got {cap}"
-        )
-
-
 def build_vocab(docs: list[Document], cap: int) -> Vocabulary:
     """Frequency-ranked vocabulary (ties broken lexicographically) up to `cap`.
 
     Counts cover document sentences and reference summaries, so decoder
     targets are representable when the corpus carries summaries.
     """
-    check_vocab_cap(cap)
+    if cap <= len(RESERVED_TOKENS):
+        raise ValueError(
+            f"vocab_cap must exceed the {len(RESERVED_TOKENS)} reserved tokens "
+            f"({', '.join(RESERVED_TOKENS)}) to hold a word, got {cap}"
+        )
     if not docs:
         raise ValueError("build_vocab: empty corpus")
     counts: Counter = Counter()

@@ -42,16 +42,10 @@ class LabelStats:
     mean_score: float
 
 
-def check_metric(metric: str) -> None:
-    if metric not in _METRICS:
-        raise ValueError(f"unknown oracle metric {metric!r}")
-
-
 def greedy_trace(doc: Document, metric: str) -> GreedyTrace:
     """Greedy selection for one document. The reference is counted once; each
     candidate, the selection plus one sentence flattened in document order, is
     counted and scored with one `rouge_n` call per n the metric reads."""
-    check_metric(metric)
     if doc.summary is None:
         raise OracleError(f"document {doc.doc_id!r} has no reference summary")
     orders, combine = _METRICS[metric]
@@ -91,7 +85,8 @@ def greedy_trace(doc: Document, metric: str) -> GreedyTrace:
 
 def label_corpus(docs: list[Document], metric: str) -> tuple[list[Document], LabelStats]:
     """Label every document; input order preserved, inputs not mutated."""
-    check_metric(metric)
+    if metric not in ORACLE_METRICS:
+        raise ValueError(f"unknown oracle metric {metric!r}")
     missing = [d.doc_id for d in docs if d.summary is None]
     if missing:
         raise OracleError(f"documents without reference summaries: {', '.join(missing)}")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rnnsum.corpus import CorpusConfig, load_corpus
 
 ROOT = Path(__file__).parents[1]
@@ -61,3 +63,18 @@ def test_bench_pairs_summarizes_result_lines():
     assert label["per_seed"]["3"] == {"parent": 110.0, "change": 100.0}
     # lower is better for set-up time: the change's higher values lose
     assert summary["metrics"]["setup_s"]["change_wins"] == "1/4"
+
+
+def test_bench_pairs_digests_need_every_artifact(tmp_path):
+    bench_pairs = load_script("bench_pairs")
+    first = tmp_path / ".perfbench_work" / "w" / "round-0"
+    names = ["labeled-0.jsonl", "labeled-0.jsonl.stats.json", "run/training_report.json",
+             "run/checkpoint_best.json", "run/checkpoint_final.json",
+             "sums-0/summaries.jsonl", "eval-0/evaluation_report.json"]
+    for name in names:
+        (first / name).parent.mkdir(parents=True, exist_ok=True)
+        (first / name).write_text(name, encoding="utf-8")
+    assert sorted(bench_pairs.artifact_digests(tmp_path, "w")) == sorted(names)
+    (first / "run" / "checkpoint_best.json").unlink()
+    with pytest.raises(RuntimeError, match="no run/checkpoint_best.json"):
+        bench_pairs.artifact_digests(tmp_path, "w")
